@@ -10,7 +10,7 @@
 
 use crate::stats::{fnv1a64, median};
 use crate::trace::Tracer;
-use crate::workloads::{campaign_seed, check_record, render, Outcome};
+use crate::workloads::{campaign_seed, check_record, cpus, render, Outcome};
 use btt_core::backend::Backend;
 use btt_core::diagnosis::inference_diagnosis;
 use btt_core::pipeline::{
@@ -266,35 +266,38 @@ fn replay_live(
     Ok((tracer.child_ms(root, "session.observe"), tracer.child_ms(root, "session.finalize")))
 }
 
-/// The per-layer part of a traced run: a `threads = 1` reference of
-/// campaign `first` for the thread speed-up, then pairs of untraced and
-/// traced runs of the same campaign while `more(pairs_done)` holds (at
-/// least one pair). Sets every per-layer metric except
-/// `scenarios.build_ms`.
-pub fn profile(
-    c: &Coordinates,
-    first: u64,
-    mut more: impl FnMut(u64) -> bool,
-    tracer: &mut Tracer,
-    out: &mut Outcome,
-) {
-    let serial = guarded("serial reference", || {
-        let session = c.at(first).threads(1);
+/// `measure` wall time of campaign 0 with `threads` workers, seconds.
+fn measure_s(c: &Coordinates, threads: usize) -> Result<f64, String> {
+    guarded(&format!("{threads}-thread reference"), || {
+        let session = c.at(0).threads(threads);
         let t = Instant::now();
         let campaign = session.measure();
         let secs = t.elapsed().as_secs_f64();
         drop(campaign);
         Ok(secs)
-    });
+    })
+}
+
+/// The per-layer part of a traced run: campaign 0 measured with one worker
+/// and with one per CPU, for the thread speed-up, then pairs of untraced
+/// and traced runs of the same campaign, cycling through indices
+/// `0..distinct`, while `more(pairs_done)` holds (at least one pair). Sets
+/// every per-layer metric except `scenarios.build_ms`.
+pub fn profile(
+    c: &Coordinates,
+    distinct: u64,
+    mut more: impl FnMut(u64) -> bool,
+    tracer: &mut Tracer,
+    out: &mut Outcome,
+) {
+    let speedup = measure_s(c, 1).and_then(|serial| Ok(serial / measure_s(c, cpus())?));
     let mut samples: Vec<LayerSample> = Vec::new();
     let mut untraced_ms = Vec::new();
-    let mut first_measure_s = None;
     let mut done = 0u64;
     loop {
-        let index = first + done;
+        let index = done % distinct;
         let result = untraced(c, index).map(|u| {
             untraced_ms.push(u.campaign_s * 1e3);
-            first_measure_s.get_or_insert(u.measure_s);
             out.fingerprints.push((index, u.fingerprint));
         });
         out.attempt(result);
@@ -308,11 +311,7 @@ pub fn profile(
             break;
         }
     }
-    let result = serial.map(|serial_s| {
-        if let Some(parallel_s) = first_measure_s {
-            out.set("broadcast.thread_speedup", serial_s / parallel_s);
-        }
-    });
+    let result = speedup.map(|speedup| out.set("broadcast.thread_speedup", speedup));
     out.attempt(result);
 
     let names: BTreeSet<&'static str> = samples.iter().flat_map(|s| s.keys().copied()).collect();

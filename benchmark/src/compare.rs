@@ -2,14 +2,20 @@
 //! parent from two files of `run --out` records.
 //!
 //! Runs pair up in file order per workload (parent run `i` with change run
-//! `i`), so record them alternating which side runs first. A change is
-//! *better* on a metric when it wins at least nine tenths of at least ten
-//! pairs and the medians differ by more than the parent's own quartile
-//! spread; *worse* when its median is worse than the parent's by more than
-//! the metric's bound; *unresolved* when there are too few pairs, or the
-//! run-to-run spread is wider than the bound and not every change run beats
-//! every parent run; *same* otherwise. Metrics without a bound (per-layer)
-//! are worse by the mirror image of the better rule.
+//! `i`), so record them alternating which side runs first, with the same
+//! seed on both sides of a pair. A workload is *failed*, and gets no
+//! verdicts, when any of its runs failed its correctness check, when the
+//! two runs of a pair differ in seed, length or tracing, or when they
+//! rendered a different report for a campaign both ran.
+//!
+//! Otherwise a change is *better* on a metric when it wins at least nine
+//! tenths of at least ten pairs and the medians differ by more than the
+//! parent's own quartile spread; *worse* when its median is worse than the
+//! parent's by more than the metric's bound; *unresolved* when there are
+//! too few pairs, or the run-to-run spread is wider than the bound and not
+//! every change run beats every parent run; *same* otherwise. Metrics
+//! without a bound (per-layer) are worse by the mirror image of the better
+//! rule.
 
 use crate::stats::{median, quartiles};
 use btt_core::serialize::json::{self, Json};
@@ -98,71 +104,140 @@ fn rules(bench: &Json) -> Result<Vec<(String, Rule)>, String> {
     Ok(rules)
 }
 
-/// Metric values per workload, in record order.
-type Runs = BTreeMap<String, BTreeMap<String, Vec<f64>>>;
+/// One `run --out` record: a single run of one workload.
+#[derive(Debug, Clone, PartialEq)]
+struct Record {
+    workload: String,
+    seed: u64,
+    seconds: f64,
+    trace: bool,
+    correct: bool,
+    metrics: BTreeMap<String, f64>,
+    /// Report fingerprint by campaign or job index.
+    fingerprints: BTreeMap<u64, String>,
+}
+
+impl Record {
+    fn from_json(record: &Json) -> Result<Record, String> {
+        let field = |k: &str| record.get(k).ok_or(format!("no {k}"));
+        let Json::Object(metrics) = field("metrics")? else {
+            return Err("metrics is not an object".to_string());
+        };
+        let mut fingerprints = BTreeMap::new();
+        for pair in field("fingerprints")?.as_array().ok_or("fingerprints is not an array")? {
+            match pair.as_array() {
+                Some([index, fp]) => {
+                    let index = index.as_u64().ok_or("fingerprint index is not an integer")?;
+                    let fp = fp.as_str().ok_or("fingerprint is not a string")?;
+                    fingerprints.insert(index, fp.to_string());
+                }
+                _ => return Err("fingerprints entry is not an [index, hash] pair".to_string()),
+            }
+        }
+        Ok(Record {
+            workload: field("workload")?.as_str().ok_or("workload is not a string")?.to_string(),
+            seed: field("seed")?.as_u64().ok_or("seed is not an integer")?,
+            seconds: field("seconds")?.as_f64().ok_or("seconds is not a number")?,
+            trace: field("trace")?.as_bool().ok_or("trace is not a bool")?,
+            correct: field("correct")?.as_bool().ok_or("correct is not a bool")?,
+            metrics: metrics
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(f64::NAN)))
+                .collect(),
+            fingerprints,
+        })
+    }
+}
+
+/// Records per workload, in file order.
+type Runs = BTreeMap<String, Vec<Record>>;
 
 fn read_runs(path: &str) -> Result<Runs, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut runs = Runs::new();
     for (n, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
-        let record = json::parse(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
-        let workload = record
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or(format!("{path}:{}: no workload", n + 1))?;
-        let Some(Json::Object(metrics)) = record.get("metrics") else {
-            return Err(format!("{path}:{}: no metrics", n + 1));
-        };
-        let per_workload = runs.entry(workload.to_string()).or_default();
-        for (name, value) in metrics {
-            per_workload.entry(name.clone()).or_default().push(value.as_f64().unwrap_or(f64::NAN));
-        }
+        let record = json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| Record::from_json(&doc))
+            .map_err(|e| format!("{path}:{}: {e}", n + 1))?;
+        runs.entry(record.workload.clone()).or_default().push(record);
     }
     Ok(runs)
 }
 
-/// The `compare` command; `Ok(false)` when any metric is worse.
-pub fn command(args: &[String]) -> Result<bool, String> {
-    let mut files = Vec::new();
-    let mut bench_path = "BENCHMARK.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bench" => bench_path = it.next().ok_or("--bench needs a file")?.clone(),
-            other => files.push(other.to_string()),
+/// Why one workload's runs cannot be judged: failed runs, and pairs whose
+/// runs had different settings or rendered different reports.
+fn problems(parent: &[Record], change: &[Record]) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (side, runs) in [("parent", parent), ("change", change)] {
+        for (i, r) in runs.iter().enumerate().filter(|(_, r)| !r.correct) {
+            problems.push(format!("{side} run {i} (seed {}) failed its checks", r.seed));
         }
     }
-    let [parent, change] = &files[..] else {
+    for (i, (p, c)) in parent.iter().zip(change).enumerate() {
+        if (p.seed, p.seconds, p.trace) != (c.seed, c.seconds, c.trace) {
+            problems.push(format!(
+                "pair {i}: parent ran seed {} for {} s (trace {}), change seed {} for {} s (trace {})",
+                p.seed, p.seconds, p.trace, c.seed, c.seconds, c.trace
+            ));
+            continue;
+        }
+        for (index, fp) in &p.fingerprints {
+            if let Some(other) = c.fingerprints.get(index).filter(|other| *other != fp) {
+                problems.push(format!(
+                    "pair {i} (seed {}): campaign {index} report {fp} at the parent, {other} at the change",
+                    p.seed
+                ));
+            }
+        }
+    }
+    problems
+}
+
+/// The `compare` command against the bounds in `bench` (the text of
+/// `BENCHMARK.json`); `Ok(false)` when any workload failed or any metric is
+/// worse.
+pub fn command(args: &[String], bench: &str) -> Result<bool, String> {
+    let [parent, change] = args else {
         return Err("compare wants PARENT and CHANGE record files".to_string());
     };
-    let bench_text =
-        std::fs::read_to_string(&bench_path).map_err(|e| format!("reading {bench_path}: {e}"))?;
-    let rules = rules(&json::parse(&bench_text).map_err(|e| format!("{bench_path}: {e}"))?)?;
+    let rules = rules(&json::parse(bench).map_err(|e| format!("BENCHMARK.json: {e}"))?)?;
     let (parent, change) = (read_runs(parent)?, read_runs(change)?);
 
-    let mut any_worse = false;
+    let mut ok = true;
     println!("workload  metric  parent median [q1, q3]  change median [q1, q3]  wins/pairs  bound  verdict");
-    for (workload, parent_metrics) in &parent {
-        let Some(change_metrics) = change.get(workload) else { continue };
+    for (workload, parent_runs) in &parent {
+        let Some(change_runs) = change.get(workload) else { continue };
+        let problems = problems(parent_runs, change_runs);
+        if !problems.is_empty() {
+            ok = false;
+            for p in problems {
+                println!("{workload}  FAILED  {p}");
+            }
+            continue;
+        }
+        let values = |runs: &[Record], name: &str| -> Option<Vec<f64>> {
+            runs.iter().map(|r| r.metrics.get(name).copied()).collect()
+        };
         for (name, rule) in &rules {
-            let (Some(p), Some(c)) = (parent_metrics.get(name), change_metrics.get(name)) else {
+            let (Some(p), Some(c)) = (values(parent_runs, name), values(change_runs, name)) else {
                 continue;
             };
-            let (v, wins, pairs) = verdict(p, c, rule.lower_is_better, rule.bound);
-            any_worse |= v == Verdict::Worse;
-            let (p1, _, p3) = quartiles(p);
-            let (c1, _, c3) = quartiles(c);
+            let (v, wins, pairs) = verdict(&p, &c, rule.lower_is_better, rule.bound);
+            ok &= v != Verdict::Worse;
+            let (p1, _, p3) = quartiles(&p);
+            let (c1, _, c3) = quartiles(&c);
             println!(
                 "{workload}  {name}  {:.6} [{p1:.6}, {p3:.6}] {unit}  {:.6} [{c1:.6}, {c3:.6}] {unit}  {wins}/{pairs}  {}  {}",
-                median(p),
-                median(c),
+                median(&p),
+                median(&c),
                 rule.bound.map_or("-".to_string(), |b| format!("{:.0}%", b * 100.0)),
                 format!("{v:?}").to_lowercase(),
                 unit = rule.unit,
             );
         }
     }
-    Ok(!any_worse)
+    Ok(ok)
 }
 
 #[cfg(test)]
@@ -222,5 +297,69 @@ mod tests {
         assert_eq!(verdict(&runs(10.0, 0.01), &runs(12.0, 0.01), true, None).0, Verdict::Worse);
         assert_eq!(verdict(&runs(10.0, 0.01), &runs(8.0, 0.01), true, None).0, Verdict::Better);
         assert_eq!(verdict(&runs(10.0, 0.01), &runs(10.0, 0.01), true, None).0, Verdict::Same);
+    }
+
+    /// A record line as `run --out` writes it.
+    fn line(seed: u64, seconds: u64, correct: bool, fingerprints: &[(u64, &str)]) -> String {
+        let fps: Vec<String> = fingerprints.iter().map(|(i, h)| format!("[{i},\"{h}\"]")).collect();
+        format!(
+            "{{\"workload\":\"w\",\"seed\":{seed},\"seconds\":{seconds}.0,\"trace\":false,\
+             \"correct\":{correct},\"failed\":{},\"metrics\":{{\"campaign_s\":1.5}},\
+             \"fingerprints\":[{}]}}",
+            u64::from(!correct),
+            fps.join(",")
+        )
+    }
+
+    fn record(text: &str) -> Record {
+        Record::from_json(&json::parse(text).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn records_read_back() {
+        let r = record(&line(7, 20, true, &[(0, "00ff"), (1, "0a0b")]));
+        assert_eq!(
+            (r.workload.as_str(), r.seed, r.seconds, r.trace, r.correct),
+            ("w", 7, 20.0, false, true)
+        );
+        assert_eq!(r.metrics["campaign_s"], 1.5);
+        assert_eq!(r.fingerprints[&1], "0a0b");
+        assert!(Record::from_json(&json::parse("{\"workload\":\"w\"}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn matching_pairs_have_no_problems() {
+        let p = [record(&line(7, 20, true, &[(0, "aa"), (1, "bb")]))];
+        let c = [record(&line(7, 20, true, &[(1, "bb"), (2, "cc")]))];
+        assert!(problems(&p, &c).is_empty());
+    }
+
+    #[test]
+    fn a_failed_run_fails_the_workload() {
+        let good = record(&line(7, 20, true, &[]));
+        let bad = record(&line(7, 20, false, &[]));
+        assert_eq!(problems(std::slice::from_ref(&good), std::slice::from_ref(&bad)).len(), 1);
+        assert_eq!(problems(&[bad], &[good]).len(), 1);
+    }
+
+    #[test]
+    fn differing_reports_fail_the_workload() {
+        let p = [record(&line(7, 20, true, &[(0, "aa"), (1, "bb")]))];
+        let c = [record(&line(7, 20, true, &[(0, "aa"), (1, "bc")]))];
+        let found = problems(&p, &c);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains("campaign 1"), "{found:?}");
+    }
+
+    #[test]
+    fn differing_settings_fail_the_workload() {
+        let base = record(&line(7, 20, true, &[]));
+        let other_seed = record(&line(8, 20, true, &[]));
+        let other_length = record(&line(7, 10, true, &[]));
+        let mut traced = base.clone();
+        traced.trace = true;
+        for other in [other_seed, other_length, traced] {
+            assert_eq!(problems(std::slice::from_ref(&base), &[other]).len(), 1);
+        }
     }
 }

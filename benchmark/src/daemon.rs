@@ -12,7 +12,7 @@
 use crate::campaign::{guarded, profile, Coordinates};
 use crate::stats::{median, nearest_rank, peak_rss_mib, tail_percentile};
 use crate::trace::Tracer;
-use crate::workloads::{campaign_seed, check_record, render, Outcome, Setup, Workload};
+use crate::workloads::{campaign_seed, check_record, render, setup, workers, Outcome, Workload};
 use btt_bench::serve::{serve, ServeClient, ServeConfig};
 use btt_core::serialize::json::Json;
 use btt_core::session::TomographySession;
@@ -76,6 +76,7 @@ struct LoadGen<'a> {
     c: &'a Coordinates,
     scenario: &'a str,
     poll: Duration,
+    distinct: u64,
     trace: bool,
 }
 
@@ -163,58 +164,37 @@ impl LoadGen<'_> {
         report.get("report").map(Json::render).ok_or_else(|| format!("job {index}: no report"))
     }
 
-    /// One closed-loop client: jobs back to back, taking the next index
-    /// from `next`, until `deadline` passes or the indices reach `limit`; a
-    /// failed job ends the client. With `setup`, it times one scenario build
-    /// after each job, while the other clients' jobs keep the daemon busy.
-    fn client(
-        &self,
-        next: &AtomicU64,
-        limit: u64,
-        deadline: Instant,
-        mut setup: Option<&mut Setup>,
-    ) -> Vec<JobLog> {
+    /// One closed-loop client: jobs back to back, taking the next job from
+    /// `next`, until `deadline` passes or the jobs reach `limit`; a failed
+    /// job ends the client. Job `k` runs the inputs of index `k % distinct`.
+    fn client(&self, next: &AtomicU64, limit: u64, deadline: Instant) -> Vec<JobLog> {
         let mut client = match ServeClient::connect(&self.addr) {
             Ok(client) => client,
             Err(e) => return vec![JobLog::new(u64::MAX, Err(format!("connect: {e}")))],
         };
         let mut logs = Vec::new();
         while Instant::now() < deadline {
-            let index = next.fetch_add(1, Ordering::SeqCst);
-            if index >= limit {
+            let job = next.fetch_add(1, Ordering::SeqCst);
+            if job >= limit {
                 break;
             }
-            let log = self.run_job(&mut client, index);
+            let log = self.run_job(&mut client, job % self.distinct);
             let failed = log.report.is_err();
             logs.push(log);
             if failed {
                 break;
             }
-            if let Some(setup) = setup.as_deref_mut() {
-                drop(setup.build());
-            }
         }
         logs
     }
 
-    /// `clients` concurrent closed-loop clients over job indices
-    /// `0..limit`, until `deadline`; the first one takes the `setup`
-    /// samples.
-    fn clients(
-        &self,
-        clients: usize,
-        limit: u64,
-        deadline: Instant,
-        mut setup: Option<&mut Setup>,
-    ) -> Vec<JobLog> {
+    /// `clients` concurrent closed-loop clients over jobs `0..limit`, until
+    /// `deadline`.
+    fn clients(&self, clients: usize, limit: u64, deadline: Instant) -> Vec<JobLog> {
         let next = AtomicU64::new(0);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let setup = setup.take();
-                    scope.spawn(|| self.client(&next, limit, deadline, setup))
-                })
-                .collect();
+            let handles: Vec<_> =
+                (0..clients).map(|_| scope.spawn(|| self.client(&next, limit, deadline))).collect();
             handles
                 .into_iter()
                 .flat_map(|h| h.join().expect("client threads do not panic"))
@@ -245,7 +225,6 @@ fn local_replay(c: &Coordinates, index: u64) -> Result<String, String> {
 /// Runs the serve workload.
 pub fn run(
     w: &Workload,
-    clients: usize,
     poll: Duration,
     seed: u64,
     seconds: f64,
@@ -254,7 +233,8 @@ pub fn run(
 ) -> Outcome {
     let mut out = Outcome::default();
     let mut tracer = Tracer::default();
-    let (mut setup, scenario) = Setup::new(w.scenario);
+    let clients = workers();
+    let (build_s, scenario) = setup(w.scenario);
     let artifacts = out_dir.join(format!("serve-{}", std::process::id()));
     let t = Instant::now();
     let server = match serve(ServeConfig {
@@ -280,7 +260,14 @@ pub fn run(
         seed,
     };
     let hosts = c.session.scenario().num_hosts();
-    let load = LoadGen { addr: server.addr(), c: &c, scenario: w.scenario, poll, trace };
+    let load = LoadGen {
+        addr: server.addr(),
+        c: &c,
+        scenario: w.scenario,
+        poll,
+        distinct: w.distinct,
+        trace,
+    };
 
     // Checks a served report and records its fingerprint.
     let accept = |out: &mut Outcome, log: &JobLog| -> Result<(), String> {
@@ -294,7 +281,7 @@ pub fn run(
     // Warm-up: one job per client, concurrently, so the memory high-water
     // mark covers the daemon at full load. Job 0 is byte-compared with a
     // local live() replay of its coordinates. Measured jobs start at 0 again.
-    let warm = load.clients(clients, clients as u64, Instant::now() + JOB_TIMEOUT, None);
+    let warm = load.clients(clients, clients as u64, Instant::now() + JOB_TIMEOUT);
     let peak_rss_mb = peak_rss_mib().unwrap_or(f64::NAN);
     for log in &warm {
         let result = accept(&mut out, log);
@@ -313,7 +300,7 @@ pub fn run(
 
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(seconds);
-    let logs = load.clients(clients, u64::MAX, deadline, Some(&mut setup));
+    let logs = load.clients(clients, u64::MAX, deadline);
     server.shutdown();
     match server.wait() {
         Ok(stats) if stats.failed > 0 => out.fail(format!("daemon: {} jobs failed", stats.failed)),
@@ -322,7 +309,6 @@ pub fn run(
     }
     // The daemon's artifacts only prove it wrote them; nothing reads them.
     let _ = std::fs::remove_dir_all(&artifacts);
-    let setup_s = setup.finish();
 
     let mut latency = Vec::new();
     let mut first = Vec::new();
@@ -351,11 +337,11 @@ pub fn run(
 
     if trace {
         let serve_json = serve_layer(&logs, &mut tracer, &mut out);
-        profile(&c, 0, |done| done < PROFILED_JOBS, &mut tracer, &mut out);
-        out.set("scenarios.build_ms", setup_s * 1e3);
+        profile(&c, w.distinct, |done| done < PROFILED_JOBS, &mut tracer, &mut out);
+        out.set("scenarios.build_ms", build_s * 1e3);
         out.trace = vec![("serve", serve_json), ("spans", tracer.to_json())];
     } else {
-        out.set("setup_s", setup_s + bind_s);
+        out.set("setup_s", build_s + bind_s);
         out.set("campaign_s", median(&latency));
         out.set("first_answer_s", median(&first));
         out.set("broadcasts_per_s", (jobs as f64) * f64::from(c.iterations) / window_s);

@@ -1,16 +1,17 @@
 //! `btt-benchmark` — the repository's benchmark.
 //!
 //! ```text
-//! btt-benchmark run [--workload W]... [--seed N] [--seconds S] [--trace [0|1]] [--out FILE] [W...]
-//! btt-benchmark compare PARENT CHANGE [--bench BENCHMARK.json]
+//! btt-benchmark run [--workload W]... [--seed N] [--trace [0|1]] [--out FILE] [W...]
+//! btt-benchmark compare PARENT CHANGE
 //! ```
 //!
-//! `run` measures each named workload (all four by default) for `--seconds`
-//! after its set-up and one untimed warm-up, checks every report it
-//! produced, and prints one line per metric followed by a final JSON result
-//! line. Several workloads run one after another, each in a child process
-//! of its own, so peak memory and allocator state never carry over. See
-//! README.md for the workloads, the metrics, and how to read them.
+//! `run` measures each named workload (all four by default) for
+//! `BENCHMARK.json`'s `run_seconds` after its set-up and one untimed
+//! warm-up, checks every report it produced, and prints one line per
+//! metric followed by a final JSON result line. Several workloads run one
+//! after another, each in a child process of its own, so peak memory and
+//! allocator state never carry over. See README.md for the workloads, the
+//! metrics, and how to read them.
 
 mod campaign;
 mod compare;
@@ -27,29 +28,46 @@ use workloads::{Workload, DEFAULT_SEED, WORKLOADS};
 
 const USAGE: &str = "\
 usage: btt-benchmark run [OPTIONS] [WORKLOAD...]
-       btt-benchmark compare PARENT CHANGE [--bench FILE]
+       btt-benchmark compare PARENT CHANGE
 
 run options:
   --workload <W>     a workload to run (repeatable; default: all four):
                      protocol-wan1k, solver-edge2k, scale-fattree4k,
                      serve-churn512
   --seed <N>         input seed (default: 2012, the reference seed)
-  --seconds <S>      measurement time per workload (default: 20)
+  --seconds <S>      accepted only when equal to run_seconds in
+                     BENCHMARK.json, which fixes the measurement time
   --trace [0|1]      1 (or bare): traced run, per-layer metrics and
                      out/trace-<workload>.json; 0: untraced (default)
   --out <FILE>       append one JSON record per run (input to compare)
 
 compare prints, per workload and metric, both sides' medians and
 quartiles, the change's win rate over paired runs, the bound from
-BENCHMARK.json, and a verdict: better, same, worse, or unresolved.";
+BENCHMARK.json, and a verdict: better, same, worse, or unresolved.
+A workload with a failed run, or a pair that differs in seed, length,
+tracing or any report, is FAILED instead.";
+
+/// The benchmark's definition: metric names, units and bounds, and the
+/// measurement time of one run.
+const BENCHMARK_JSON: &str =
+    include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"));
+
+/// `run_seconds` from `BENCHMARK.json`: how long every run measures.
+fn run_seconds() -> u64 {
+    btt_core::serialize::json::parse(BENCHMARK_JSON)
+        .ok()
+        .and_then(|doc| doc.get("run_seconds").and_then(Json::as_u64))
+        .expect("BENCHMARK.json holds an integer run_seconds")
+}
 
 /// End-to-end metrics: `(name, unit)`. Bounds live in `BENCHMARK.json`.
-pub const END_TO_END: [(&str, &str); 5] = [
+pub const END_TO_END: [(&str, &str); 6] = [
     ("setup_s", "s"),
     ("campaign_s", "s"),
     ("first_answer_s", "s"),
     ("broadcasts_per_s", "1/s"),
     ("peak_rss_mb", "MB"),
+    ("ok_share", "ratio"),
 ];
 
 /// Per-layer metrics of a traced run: `(name, unit)`.
@@ -96,7 +114,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => parse_run(&args[1..]).and_then(|run| run.execute()),
-        Some("compare") => compare::command(&args[1..]),
+        Some("compare") => compare::command(&args[1..], BENCHMARK_JSON),
         Some("-h" | "--help") => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -118,14 +136,12 @@ fn main() -> ExitCode {
 struct Run {
     workloads: Vec<&'static Workload>,
     seed: u64,
-    seconds: f64,
     trace: bool,
     out: Option<PathBuf>,
 }
 
 fn parse_run(args: &[String]) -> Result<Run, String> {
-    let mut run =
-        Run { workloads: Vec::new(), seed: DEFAULT_SEED, seconds: 20.0, trace: false, out: None };
+    let mut run = Run { workloads: Vec::new(), seed: DEFAULT_SEED, trace: false, out: None };
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().cloned().ok_or(format!("{flag} needs a value"));
@@ -143,11 +159,12 @@ fn parse_run(args: &[String]) -> Result<Run, String> {
             }
             "--seconds" => {
                 let v = value("--seconds")?;
-                run.seconds = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s > 0.0)
-                    .ok_or(format!("--seconds wants a positive number, got {v:?}"))?;
+                if v.parse::<f64>().ok() != Some(run_seconds() as f64) {
+                    return Err(format!(
+                        "--seconds {v} differs from BENCHMARK.json's run_seconds {}",
+                        run_seconds()
+                    ));
+                }
             }
             "--out" => run.out = Some(PathBuf::from(value("--out")?)),
             "--trace" => {
@@ -205,12 +222,7 @@ impl Run {
         for w in &self.workloads {
             let mut child = Command::new(&exe);
             child.args(["run", "--workload", w.name, "--seed", &self.seed.to_string()]);
-            child.args([
-                "--seconds",
-                &self.seconds.to_string(),
-                "--trace",
-                if self.trace { "1" } else { "0" },
-            ]);
+            child.args(["--trace", if self.trace { "1" } else { "0" }]);
             if let Some(out) = &self.out {
                 child.arg("--out").arg(out);
             }
@@ -223,17 +235,21 @@ impl Run {
     fn execute_one(&self, w: &Workload) -> Result<bool, String> {
         let cpus = workloads::cpus();
         let (commit, rustc) = (git_commit(), env!("BTT_BENCHMARK_RUSTC"));
-        let mode = if self.trace { "traced" } else { "untraced" };
-        println!("# btt-benchmark {}: seed {}, {} s, {mode}", w.name, self.seed, self.seconds);
+        let (seconds, mode) = (run_seconds(), if self.trace { "traced" } else { "untraced" });
+        println!("# btt-benchmark {}: seed {}, {seconds} s, {mode}", w.name, self.seed);
         println!("# available_parallelism {cpus}, commit {commit}, {rustc}");
         std::fs::create_dir_all(out_dir()).map_err(|e| format!("creating {:?}: {e}", out_dir()))?;
 
-        let mut outcome = workloads::run(w, self.seed, self.seconds, self.trace, &out_dir());
+        let mut outcome = workloads::run(w, self.seed, seconds as f64, self.trace, &out_dir());
         let table: &[(&str, &str)] = if self.trace { &PER_LAYER } else { &END_TO_END };
-        for &(name, _) in table {
+        for &(name, _) in table.iter().filter(|(name, _)| *name != "ok_share") {
             if !outcome.metrics.get(name).is_some_and(|v| v.is_finite()) {
                 outcome.fail(format!("metric {name} was not measured"));
             }
+        }
+        if !self.trace {
+            let ok = outcome.attempted.saturating_sub(outcome.failed);
+            outcome.set("ok_share", ok as f64 / outcome.attempted.max(1) as f64);
         }
         let correct = outcome.failed == 0;
 
@@ -271,7 +287,7 @@ impl Run {
         let header = vec![
             ("workload", Json::Str(w.name.to_string())),
             ("seed", Json::UInt(self.seed)),
-            ("seconds", Json::Float(self.seconds)),
+            ("seconds", Json::UInt(seconds)),
             ("trace", Json::Bool(self.trace)),
             ("available_parallelism", Json::UInt(cpus as u64)),
             ("commit", Json::Str(commit)),
@@ -331,16 +347,17 @@ mod tests {
 
     #[test]
     fn run_arguments_parse() {
-        let run =
-            parse_run(&args("--workload solver-edge2k --seed 7 --seconds 10 --trace 0")).unwrap();
+        let seconds = run_seconds();
+        let line = format!("--workload solver-edge2k --seed 7 --seconds {seconds} --trace 0");
+        let run = parse_run(&args(&line)).unwrap();
         assert_eq!(run.workloads.len(), 1);
         assert_eq!(run.workloads[0].name, "solver-edge2k");
-        assert_eq!((run.seed, run.seconds, run.trace), (7, 10.0, false));
+        assert_eq!((run.seed, run.trace), (7, false));
         assert!(parse_run(&args("--trace 1 serve-churn512")).unwrap().trace);
         assert!(parse_run(&args("--trace serve-churn512")).unwrap().trace);
         assert_eq!(parse_run(&args("")).unwrap().workloads.len(), 4);
         assert!(parse_run(&args("--workload nope")).is_err());
-        assert!(parse_run(&args("--seconds 0")).is_err());
+        assert!(parse_run(&args(&format!("--seconds {}", seconds + 1))).is_err());
         assert!(parse_run(&args("--bogus")).is_err());
     }
 
@@ -348,10 +365,7 @@ mod tests {
     /// the same metrics with the same units, in the same order.
     #[test]
     fn metric_tables_match_benchmark_json() {
-        let text =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"))
-                .expect("BENCHMARK.json sits at the repository root");
-        let doc = btt_core::serialize::json::parse(&text).unwrap();
+        let doc = btt_core::serialize::json::parse(BENCHMARK_JSON).unwrap();
         for (key, table) in [("end_to_end", &END_TO_END[..]), ("per_layer", &PER_LAYER[..])] {
             let listed: Vec<(&str, &str)> = doc
                 .get(key)
