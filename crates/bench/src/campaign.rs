@@ -664,9 +664,10 @@ pub fn run_inference_bench_point(point: &InferenceBenchPoint) -> json::Json {
         Some(b) => (json::Json::Float(b), json::Json::Float(b / timing.total_ms())),
         None => (json::Json::Null, json::Json::Null),
     };
-    // A typed `null` where no serial baseline was recorded. The field used
-    // to mix types in one array — `"n/a"` strings next to floats — which
-    // broke numeric consumers; `btt check` now rejects that old encoding.
+    // A typed `null` where no serial baseline (or no separation ratio) was
+    // recorded. These fields used to mix types in one array — `"n/a"`
+    // strings next to floats — which broke numeric consumers; `btt check`
+    // now rejects that old encoding.
     let measure_speedup = match point.measure_serial_ms {
         Some(b) => json::Json::Float(b / measure_ms),
         None => json::Json::Null,
@@ -688,10 +689,7 @@ pub fn run_inference_bench_point(point: &InferenceBenchPoint) -> json::Json {
         ("pruned", json::Json::Bool(hosts >= SPARSE_NODE_THRESHOLD)),
         ("final_onmi", json::Json::Float(last.onmi)),
         ("final_clusters", json::Json::UInt(last.clusters as u64)),
-        (
-            "separation_ratio",
-            separation_ratio.map_or_else(|| json::Json::Str("n/a".into()), json::Json::Float),
-        ),
+        ("separation_ratio", separation_ratio.map_or(json::Json::Null, json::Json::Float)),
         ("backends", json::Json::Array(backends)),
         // `measure()` returning means every iteration ran to completion;
         // `btt check` uses this to tell "campaign finished but inference
@@ -704,9 +702,9 @@ pub fn run_inference_bench_point(point: &InferenceBenchPoint) -> json::Json {
 
 /// Schema marker of `BENCH_inference.json`. v2 (backend-refactor PR) added
 /// the per-backend accuracy/cost `backends` block and `separation_ratio`
-/// per run. `measure_speedup` is a float or a typed `null` — the short-lived
-/// mixed encoding (`"n/a"` strings next to floats) is rejected by `btt
-/// check`.
+/// per run. `measure_speedup` and `separation_ratio` are each a float or a
+/// typed `null` — the short-lived mixed encoding (`"n/a"` strings next to
+/// floats) is rejected by `btt check`.
 pub const INFERENCE_BENCH_SCHEMA: &str = "btt-inference-bench-v2";
 
 /// Renders the `BENCH_inference.json` document (schema
@@ -775,7 +773,7 @@ pub struct ZeroOnmiWarning {
     pub zero_backends: Vec<String>,
     /// Backends that recovered nonzero structure.
     pub nonzero_backends: Vec<String>,
-    /// The run's `separation_ratio` (`None` when recorded as `"n/a"`).
+    /// The run's `separation_ratio` (`None` when recorded as `null`).
     pub separation_ratio: Option<f64>,
 }
 
@@ -817,8 +815,9 @@ pub struct InferenceBenchCheck {
 
 /// Validates a `BENCH_inference.json` document: schema marker, a non-empty
 /// `runs` array carrying the trajectory keys, a `measure_speedup` that is a
-/// positive number or a typed `null` (the old mixed `"n/a"`-string encoding
-/// is rejected), and a non-empty per-backend block per run. Returns the
+/// positive number or a typed `null`, a `separation_ratio` that is a number
+/// or a typed `null` (the old mixed `"n/a"`-string encoding is rejected for
+/// both), and a non-empty per-backend block per run. Returns the
 /// [`InferenceBenchCheck`] diagnostics on success.
 pub fn check_inference_bench(text: &str) -> Result<InferenceBenchCheck, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
@@ -859,6 +858,16 @@ pub fn check_inference_bench(text: &str) -> Result<InferenceBenchCheck, String> 
             other => {
                 return Err(format!(
                     "run {i} measure_speedup must be a positive number or null \
+                     (the old \"n/a\" string encoding is invalid), got {:?}",
+                    other.map(|v| v.render())
+                ));
+            }
+        }
+        match run.get("separation_ratio") {
+            Some(json::Json::Float(_) | json::Json::Null) => {}
+            other => {
+                return Err(format!(
+                    "run {i} separation_ratio must be a number or null \
                      (the old \"n/a\" string encoding is invalid), got {:?}",
                     other.map(|v| v.render())
                 ));
@@ -1519,21 +1528,33 @@ mod tests {
         // `measure_speedup` is a positive float or a typed null. The old
         // mixed encoding — `"n/a"` strings next to floats in one array —
         // is a validation error, not a silently-accepted pass.
-        let mut text = inference_bench_doc_with_speedup(json::Json::Null);
-        assert!(check_inference_bench(&text).is_ok());
-        text = inference_bench_doc_with_speedup(json::Json::Float(3.25));
-        assert!(check_inference_bench(&text).is_ok());
+        let doc = |speedup| inference_bench_doc(speedup, json::Json::Null);
+        assert!(check_inference_bench(&doc(json::Json::Null)).is_ok());
+        assert!(check_inference_bench(&doc(json::Json::Float(3.25))).is_ok());
         for bad in
             [json::Json::Str("n/a".into()), json::Json::Float(-1.0), json::Json::Str("fast".into())]
         {
-            let err = check_inference_bench(&inference_bench_doc_with_speedup(bad)).unwrap_err();
+            let err = check_inference_bench(&doc(bad)).unwrap_err();
             assert!(err.contains("measure_speedup"), "{err}");
         }
     }
 
-    /// A minimal structurally-valid v2 document with one run whose
-    /// `measure_speedup` is `speedup`.
-    fn inference_bench_doc_with_speedup(speedup: json::Json) -> String {
+    #[test]
+    fn check_rejects_string_separation_ratio() {
+        // `separation_ratio` is a float or a typed null, like
+        // `measure_speedup`; the old `"n/a"` string is rejected.
+        let doc = |ratio| inference_bench_doc(json::Json::Null, ratio);
+        assert!(check_inference_bench(&doc(json::Json::Null)).is_ok());
+        assert!(check_inference_bench(&doc(json::Json::Float(1.25))).is_ok());
+        for bad in [json::Json::Str("n/a".into()), json::Json::Bool(true)] {
+            let err = check_inference_bench(&doc(bad)).unwrap_err();
+            assert!(err.contains("separation_ratio"), "{err}");
+        }
+    }
+
+    /// A minimal structurally-valid v2 document with one run carrying the
+    /// given `measure_speedup` and `separation_ratio`.
+    fn inference_bench_doc(speedup: json::Json, separation_ratio: json::Json) -> String {
         let run = json::Json::obj(vec![
             ("scenario", json::Json::Str("synthetic".into())),
             ("hosts", json::Json::UInt(16)),
@@ -1545,7 +1566,7 @@ mod tests {
             ("inference_wall_ms", json::Json::Float(2.0)),
             ("final_onmi", json::Json::Float(0.9)),
             ("measure_speedup", speedup),
-            ("separation_ratio", json::Json::Str("n/a".into())),
+            ("separation_ratio", separation_ratio),
             (
                 "backends",
                 json::Json::Array(vec![json::Json::obj(vec![

@@ -186,7 +186,7 @@ pub fn ablation_load(ctx: &mut ReproCtx) {
         }
         let mut metric = MetricAccumulator::new(hosts.len());
         for r in &runs {
-            metric.add(&r.fragments);
+            metric.push_run(&r.fragments);
         }
         let campaign = Campaign { runs, metric };
         let series = convergence_series(&campaign, &truth, ClusteringAlgorithm::Louvain, ctx.seed);
@@ -309,7 +309,7 @@ pub fn ablation_dynamic(ctx: &mut ReproCtx) {
         } else {
             run_broadcast(&flat_routes, &flat_hosts, 0, &cfg, seed)
         };
-        cumulative.add(&out.fragments);
+        cumulative.push_run(&out.fragments);
         windowed.push(&out.fragments);
 
         // Score both views against the *current* truth after the change.

@@ -559,7 +559,7 @@ mod tests {
         }
         let mut metric = MetricAccumulator::new(n);
         for r in &all {
-            metric.add(&r.fragments);
+            metric.push_run(&r.fragments);
         }
         Campaign { runs: all, metric }
     }

@@ -426,6 +426,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no route")]
+    fn routes_across_components_panic() {
+        // `build` rejects disconnected topologies, so assemble one directly:
+        // `tiny()` without the h2-sw link.
+        let t = tiny();
+        let (h1, h2, sw) = (NodeId(0), NodeId(1), NodeId(2));
+        let adjacency = vec![vec![(sw, LinkId(0))], Vec::new(), vec![(h1, LinkId(0))]];
+        let split =
+            Topology { nodes: t.nodes, links: vec![t.links[0].clone()], adjacency, hosts: t.hosts };
+        let rt = crate::routing::RouteTable::new(std::sync::Arc::new(split));
+        assert_eq!(rt.route(h1, sw).len(), 1);
+        rt.route(h1, h2);
+    }
+
+    #[test]
     fn builds_and_counts() {
         let t = tiny();
         assert_eq!(t.num_nodes(), 3);

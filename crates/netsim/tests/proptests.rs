@@ -81,8 +81,96 @@ fn two_tier(clusters: usize, hosts_per: usize, access_mbps: f64, trunk_mbps: f64
     Arc::new(b.build().unwrap())
 }
 
+/// A random connected topology: `nodes` nodes (hosts and switches), a
+/// random spanning tree, then `extra` random links — parallel links and
+/// cycles included, so BFS tie-breaking is exercised.
+fn random_topology(nodes: usize, extra: usize, seed: u64) -> Arc<Topology> {
+    let mut x = seed;
+    let mut next = move || {
+        x = btt_netsim::util::splitmix64(x);
+        x as usize
+    };
+    let mut b = TopologyBuilder::new();
+    let ids: Vec<NodeId> = (0..nodes)
+        .map(|i| {
+            if next() % 3 == 0 {
+                b.add_switch(format!("n{i}"), "s")
+            } else {
+                b.add_host(format!("n{i}"), "s", "c")
+            }
+        })
+        .collect();
+    let bw = LinkSpec::lan(Bandwidth::from_mbps(890.0));
+    for i in 1..nodes {
+        b.link(ids[i], ids[next() % i], bw);
+    }
+    for _ in 0..extra {
+        let a = next() % nodes;
+        let c = next() % nodes;
+        if a != c {
+            b.link(ids[a], ids[c], bw);
+        }
+    }
+    Arc::new(b.build().unwrap())
+}
+
+/// Reference routes from `src` to every node: a plain BFS over hop count,
+/// first-discovered parent wins, neighbors in adjacency order.
+fn bfs_oracle(topo: &Topology, src: NodeId) -> Vec<Vec<ChannelId>> {
+    let n = topo.num_nodes();
+    let mut parent: Vec<Option<(NodeId, ChannelId)>> = vec![None; n];
+    let mut seen = vec![false; n];
+    let mut queue = std::collections::VecDeque::from([src]);
+    seen[src.idx()] = true;
+    while let Some(u) = queue.pop_front() {
+        for &(v, link) in topo.neighbors(u) {
+            if !seen[v.idx()] {
+                seen[v.idx()] = true;
+                parent[v.idx()] = Some((u, topo.channel_from(link, u).unwrap()));
+                queue.push_back(v);
+            }
+        }
+    }
+    (0..n)
+        .map(|d| {
+            let mut route = Vec::new();
+            let mut cur = NodeId(d as u32);
+            while let Some((p, ch)) = parent[cur.idx()] {
+                route.push(ch);
+                cur = p;
+            }
+            route.reverse();
+            route
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat route table returns exactly the per-source BFS oracle's
+    /// route and hop count for every ordered node pair.
+    #[test]
+    fn route_table_matches_bfs_oracle(
+        nodes in 2usize..40,
+        extra in 0usize..60,
+        seed in any::<u64>(),
+    ) {
+        let topo = random_topology(nodes, extra, seed);
+        let rt = RouteTable::new(topo.clone());
+        let mut buf = Vec::new();
+        for s in 0..nodes {
+            let src = NodeId(s as u32);
+            let oracle = bfs_oracle(&topo, src);
+            for (d, want) in oracle.iter().enumerate() {
+                let dst = NodeId(d as u32);
+                prop_assert_eq!(&rt.route(src, dst), want, "route {} -> {}", src, dst);
+                prop_assert_eq!(rt.hops(src, dst) as usize, want.len());
+                rt.route_into(src, dst, &mut buf);
+                prop_assert_eq!(&buf, want);
+            }
+        }
+    }
 
     /// Max-min rates never overload a channel and every flow is bottlenecked
     /// at a saturated channel or its cap (work conservation).

@@ -163,52 +163,57 @@ impl FragmentMatrix {
 /// rather than silently diluted by two truncated zeros; pairs never observed
 /// carry no edge at all. With no churn every pair is observed every run and
 /// the metric is bit-identical to the historical global average.
+///
+/// ## Storage
+///
+/// Nothing is stored per host pair. The sums live alongside the sorted
+/// nonzero registry (16 B per nonzero edge); the overlay bounds each host to
+/// a few dozen peers, so that is O(n · max_peers). Observation counts are
+/// derived rather than stored: runs where everyone participated are one
+/// counter, and each *partial* run sets one bit in a per-host participation
+/// signature, so a pair's count is the full-run counter plus the popcount of
+/// its two signatures ANDed — 8 B × n per 64 partial runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricAccumulator {
     n: usize,
-    /// Symmetric sums of `edge(a,b)` over observed runs, upper triangle
-    /// flattened.
-    sums: Vec<f64>,
     iterations: u32,
     /// Peer pairs `(a, b)`, `a < b`, whose sum is nonzero, sorted
     /// lexicographically — the sparse support of the measurement graph.
     nonzero: Vec<(u32, u32)>,
-    /// Per-pair observation counts (upper triangle, parallel to `sums`),
-    /// counting only *partial* runs. Full-participation runs — the common,
-    /// churn-free case — bump [`Self::full_runs`] instead, so the hot
-    /// per-iteration fold never writes the O(n²) counters.
-    obs: Vec<u32>,
+    /// Symmetric sums of `edge(a,b)` over observed runs, parallel to
+    /// `nonzero`.
+    sums: Vec<f64>,
     /// Runs in which every peer participated; each adds one observation to
-    /// every pair.
+    /// every pair. The other `iterations - full_runs` runs are partial.
     full_runs: u32,
+    /// Participation signatures over partial runs, run-word-major: bit
+    /// `r % 64` of `sig[(r / 64) * n + h]` is set when host `h` participated
+    /// in partial run `r`.
+    sig: Vec<u64>,
+    /// Pair observations contributed by partial runs: Σ k(k−1)/2 over
+    /// partial runs with `k` participating hosts.
+    partial_pair_obs: u64,
 }
 
 impl MetricAccumulator {
     /// An empty accumulator for `n` peers.
     pub fn new(n: usize) -> Self {
-        let tri = n * (n.saturating_sub(1)) / 2;
         MetricAccumulator {
             n,
-            sums: vec![0.0; tri],
             iterations: 0,
             nonzero: Vec::new(),
-            obs: vec![0; tri],
+            sums: Vec::new(),
             full_runs: 0,
+            sig: Vec::new(),
+            partial_pair_obs: 0,
         }
     }
 
-    /// Observation count for the flattened pair index `idx`.
+    /// Partial runs in which both `a` and `b` participated.
     #[inline]
-    fn obs_count(&self, idx: usize) -> u32 {
-        self.obs[idx] + self.full_runs
-    }
-
-    #[inline]
-    fn tri_index(&self, a: usize, b: usize) -> usize {
+    fn partial_obs(&self, a: usize, b: usize) -> u32 {
         debug_assert!(a != b && a < self.n && b < self.n);
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        // Index into the flattened strict upper triangle.
-        lo * self.n - lo * (lo + 1) / 2 + (hi - lo - 1)
+        self.sig.chunks_exact(self.n).map(|col| (col[a] & col[b]).count_ones()).sum()
     }
 
     /// Number of peers.
@@ -226,20 +231,14 @@ impl MetricAccumulator {
         self.iterations
     }
 
-    /// Adds one broadcast's fragment matrix. Alias of
-    /// [`MetricAccumulator::push_run`], kept for existing callers.
-    pub fn add(&mut self, m: &FragmentMatrix) {
-        self.push_run(m);
-    }
-
     /// Streams one broadcast run into the accumulator.
     ///
-    /// Folds only the run's sparse support — O(nnz log nnz) per push for a
-    /// churn-free run, with no O(n²) pass at all — and keeps the
-    /// nonzero-edge registry sorted, so a sequence of pushes interleaved
-    /// with [`MetricAccumulator::edges`] snapshots costs O(Σ nnz log nnz)
-    /// total — the incremental path behind convergence studies, in place of
-    /// an O(prefixes · n²) re-aggregation per prefix.
+    /// Folds only the run's sparse support — O(nnz log nnz) to order the
+    /// run plus one O(nnz) merge into the registry, with no O(n²) pass at
+    /// all — so a sequence of pushes interleaved with
+    /// [`MetricAccumulator::edges`] snapshots is the incremental path behind
+    /// convergence studies, in place of an O(prefixes · n²) re-aggregation
+    /// per prefix.
     pub fn push_run(&mut self, m: &FragmentMatrix) {
         self.push_run_partial(m, &[]);
     }
@@ -259,34 +258,28 @@ impl MetricAccumulator {
             participated.is_empty() || participated.len() == self.n,
             "participation mask size mismatch"
         );
-        // Full-participation runs (every churn-free iteration) observe every
-        // pair: count them once in `full_runs` and skip the O(n²) counter
-        // writes — at 1000 hosts that is half a million stores per run.
         let full = participated.is_empty() || participated.iter().all(|&p| p);
         if full {
             self.full_runs += 1;
         } else {
-            // Sequential observation-count bumps for participating pairs;
-            // the flattened upper-triangle index is contiguous in walk
-            // order, so a running `idx` replaces per-pair arithmetic.
-            let mut idx = 0usize;
-            for a in 0..self.n {
-                if !participated[a] {
-                    idx += self.n - a - 1;
-                    continue;
-                }
-                for &p in &participated[(a + 1)..self.n] {
-                    if p {
-                        self.obs[idx] += 1;
-                    }
-                    idx += 1;
-                }
+            // Index of this run among the partial runs.
+            let r = (self.iterations - self.full_runs) as usize;
+            if r.is_multiple_of(64) {
+                self.sig.resize(self.sig.len() + self.n, 0);
             }
+            let bit = 1u64 << (r % 64);
+            let col = &mut self.sig[(r / 64) * self.n..];
+            let mut k = 0u64;
+            for (word, _) in col.iter_mut().zip(participated).filter(|&(_, &p)| p) {
+                *word |= bit;
+                k += 1;
+            }
+            self.partial_pair_obs += k * k.saturating_sub(1) / 2;
         }
         // Fold the run's sparse support: symmetrize the directed keys into
         // unordered pair keys, then walk them sorted — O(nnz log nnz), never
         // the n²/2 pair scan. Sorted pair keys are lexicographic (a, b)
-        // order, so `fresh` comes out sorted for the registry merge below.
+        // order, the registry's order, so one merge walk folds them in.
         let n = self.n as u64;
         let mut pairs: Vec<u64> = m
             .keys
@@ -299,7 +292,12 @@ impl MetricAccumulator {
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut fresh: Vec<(u32, u32)> = Vec::new();
+        // Pairs already registered gain their run sum in place; new ones
+        // are collected and merged in below. Every pair gets one addition
+        // per observed run, in run order, so each sum is bit-identical to
+        // a dense per-pair fold.
+        let mut fresh: Vec<((u32, u32), f64)> = Vec::new();
+        let mut i = 0;
         for key in pairs {
             let (a, b) = ((key / n) as usize, (key % n) as usize);
             if !(full || (participated[a] && participated[b])) {
@@ -307,31 +305,35 @@ impl MetricAccumulator {
             }
             let e = m.edge(a, b);
             debug_assert!(e > 0, "support keys always carry fragments");
-            let idx = self.tri_index(a, b);
-            if self.sums[idx] == 0.0 {
-                fresh.push((a as u32, b as u32));
+            let pair = (a as u32, b as u32);
+            while i < self.nonzero.len() && self.nonzero[i] < pair {
+                i += 1;
             }
-            self.sums[idx] += e as f64;
+            if self.nonzero.get(i) == Some(&pair) {
+                self.sums[i] += e as f64;
+            } else {
+                fresh.push((pair, e as f64));
+            }
         }
         if !fresh.is_empty() {
-            if self.nonzero.is_empty() {
-                self.nonzero = fresh;
-            } else {
-                // Merge two sorted pair lists (disjoint by construction).
-                let old = std::mem::take(&mut self.nonzero);
-                self.nonzero = Vec::with_capacity(old.len() + fresh.len());
-                let (mut i, mut j) = (0, 0);
-                while i < old.len() && j < fresh.len() {
-                    if old[i] < fresh[j] {
-                        self.nonzero.push(old[i]);
-                        i += 1;
-                    } else {
-                        self.nonzero.push(fresh[j]);
-                        j += 1;
-                    }
+            // Merge two sorted pair lists (disjoint by construction).
+            let old_pairs = std::mem::take(&mut self.nonzero);
+            let old_sums = std::mem::take(&mut self.sums);
+            let len = old_pairs.len() + fresh.len();
+            self.nonzero = Vec::with_capacity(len);
+            self.sums = Vec::with_capacity(len);
+            let mut old = old_pairs.into_iter().zip(old_sums).peekable();
+            for (pair, e) in fresh {
+                while let Some((p, s)) = old.next_if(|&(p, _)| p < pair) {
+                    self.nonzero.push(p);
+                    self.sums.push(s);
                 }
-                self.nonzero.extend_from_slice(&old[i..]);
-                self.nonzero.extend_from_slice(&fresh[j..]);
+                self.nonzero.push(pair);
+                self.sums.push(e);
+            }
+            for (p, s) in old {
+                self.nonzero.push(p);
+                self.sums.push(s);
             }
         }
         self.iterations += 1;
@@ -345,40 +347,44 @@ impl MetricAccumulator {
     /// Number of runs in which pair `(a, b)` was fully observed (both
     /// endpoints up for the whole broadcast).
     pub fn observations(&self, a: usize, b: usize) -> u32 {
-        self.obs_count(self.tri_index(a, b))
+        self.full_runs + self.partial_obs(a, b)
     }
 
     /// Number of unordered pairs never fully observed in any run — the
     /// blind spots a churned campaign leaves in the measurement graph.
+    ///
+    /// Zero without scanning whenever one run observed everyone; otherwise
+    /// O(n² · ⌈partial runs / 64⌉) over the participation signatures.
     pub fn pairs_unobserved(&self) -> usize {
         if self.iterations == 0 || self.full_runs > 0 {
             return 0;
         }
-        self.obs.iter().filter(|&&o| o == 0).count()
+        (0..self.n)
+            .map(|a| ((a + 1)..self.n).filter(|&b| self.partial_obs(a, b) == 0).count())
+            .sum()
     }
 
     /// Mean per-pair observation fraction (`obs / iterations`, averaged
-    /// over all pairs): 1.0 for a churn-free campaign, lower as failures
-    /// truncate more pair measurements.
+    /// over all pairs): 1.0 before any run and for a churn-free
+    /// campaign, lower as failures truncate more pair measurements.
     pub fn pair_coverage(&self) -> f64 {
-        if self.iterations == 0 || self.obs.is_empty() {
+        let pairs = (self.n * self.n.saturating_sub(1) / 2) as u64;
+        if self.iterations == 0 || pairs == 0 {
             return 1.0;
         }
-        let total: u64 = self.obs.iter().map(|&o| o as u64).sum::<u64>()
-            + u64::from(self.full_runs) * self.obs.len() as u64;
-        total as f64 / (self.obs.len() as f64 * self.iterations as f64)
+        let total = self.partial_pair_obs + u64::from(self.full_runs) * pairs;
+        total as f64 / (pairs as f64 * self.iterations as f64)
     }
 
     /// Eq. (2): the averaged metric `w(e)` for edge `(a, b)` — the pair's
     /// accumulated fragments over *its own* observation count (confidence
     /// weighting; equal to the global iteration count without churn).
     pub fn w(&self, a: usize, b: usize) -> f64 {
-        let idx = self.tri_index(a, b);
-        let obs = self.obs_count(idx);
-        if obs == 0 {
-            return 0.0;
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        match self.nonzero.binary_search(&(lo as u32, hi as u32)) {
+            Ok(i) => self.sums[i] / f64::from(self.observations(lo, hi)),
+            Err(_) => 0.0,
         }
-        self.sums[idx] / f64::from(obs)
     }
 
     /// All edges with nonzero metric as `(a, b, w)` triples, sorted with
@@ -398,10 +404,8 @@ impl MetricAccumulator {
         // iteration count.
         self.nonzero
             .iter()
-            .map(|&(a, b)| {
-                let idx = self.tri_index(a as usize, b as usize);
-                (a, b, self.sums[idx] / f64::from(self.obs_count(idx)))
-            })
+            .zip(&self.sums)
+            .map(|(&(a, b), &s)| (a, b, s / f64::from(self.observations(a as usize, b as usize))))
             .collect()
     }
 }
@@ -456,7 +460,7 @@ impl WindowedMetric {
     pub fn snapshot(&self) -> MetricAccumulator {
         let mut acc = MetricAccumulator::new(self.n);
         for m in &self.matrices {
-            acc.add(m);
+            acc.push_run(m);
         }
         acc
     }
@@ -491,8 +495,8 @@ mod tests {
         for _ in 0..3 {
             m2.record(1, 0); // edge(0,1) = 3
         }
-        acc.add(&m1);
-        acc.add(&m2);
+        acc.push_run(&m1);
+        acc.push_run(&m2);
         assert_eq!(acc.iterations(), 2);
         assert!((acc.w(0, 1) - 2.0).abs() < 1e-12);
         assert!((acc.w(1, 0) - 2.0).abs() < 1e-12);
@@ -505,28 +509,28 @@ mod tests {
         let mut m = FragmentMatrix::new(4);
         m.record(2, 3);
         m.record(0, 1);
-        acc.add(&m);
+        acc.push_run(&m);
         let edges = acc.edges();
         assert_eq!(edges, vec![(0, 1, 1.0), (2, 3, 1.0)]);
     }
 
     #[test]
-    fn tri_index_covers_all_pairs_uniquely() {
-        let acc = MetricAccumulator::new(10);
-        let mut seen = std::collections::HashSet::new();
-        for a in 0..10 {
-            for b in 0..10 {
-                if a != b {
-                    let i = acc.tri_index(a, b);
-                    assert_eq!(acc.tri_index(b, a), i);
-                    if a < b {
-                        assert!(seen.insert(i));
-                    }
-                    assert!(i < acc.sums.len());
-                }
-            }
+    fn observations_cross_the_signature_word_boundary() {
+        // 70 partial runs span two signature words. Host 2 sits out every
+        // third run, host 3 every run past the 64th.
+        let mut acc = MetricAccumulator::new(4);
+        let m = FragmentMatrix::new(4);
+        for r in 0..70 {
+            acc.push_run_partial(&m, &[true, true, r % 3 != 0, r < 64]);
         }
-        assert_eq!(seen.len(), 45);
+        assert_eq!(acc.observations(0, 1), 70);
+        assert_eq!(acc.observations(1, 0), 70);
+        assert_eq!(acc.observations(0, 2), 46);
+        assert_eq!(acc.observations(0, 3), 64);
+        assert_eq!(acc.observations(2, 3), 42);
+        assert_eq!(acc.pairs_unobserved(), 0);
+        let total = 70 + 46 + 64 + 46 + 64 + 42;
+        assert_eq!(acc.pair_coverage(), total as f64 / (6.0 * 70.0));
     }
 
     #[test]
@@ -659,7 +663,7 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn size_mismatch_panics() {
         let mut acc = MetricAccumulator::new(3);
-        acc.add(&FragmentMatrix::new(4));
+        acc.push_run(&FragmentMatrix::new(4));
     }
 
     #[test]
