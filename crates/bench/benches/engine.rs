@@ -13,8 +13,7 @@ use std::time::Duration;
 
 fn setup(spec: &str) -> (Arc<RouteTable>, Vec<btt_netsim::topology::NodeId>) {
     let scenario = ScenarioSpec::parse(spec).expect("preset parses").build();
-    let hosts = scenario.hosts.clone();
-    (Arc::new(RouteTable::new(scenario.grid.topology.clone())), hosts)
+    (scenario.routes, scenario.hosts)
 }
 
 fn bench_scale_presets(c: &mut Criterion) {

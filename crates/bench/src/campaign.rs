@@ -342,24 +342,20 @@ pub fn run_bench_broadcast(
     point: &EngineBenchPoint,
     pieces: u32,
 ) -> (btt_swarm::swarm::RunOutcome, f64, usize) {
-    use btt_netsim::routing::RouteTable;
     use btt_swarm::broadcast::run_broadcast;
-    use std::sync::Arc;
     use std::time::Instant;
 
     let spec = ScenarioSpec::parse(point.scenario).expect("suite scenarios parse");
     let scenario = spec.build();
-    let hosts = scenario.hosts.clone();
-    let routes = Arc::new(RouteTable::new(scenario.grid.topology.clone()));
     let cfg = SwarmConfig {
         num_pieces: pieces,
         rate_refresh: point.rate_refresh,
         ..SwarmConfig::default()
     };
     let wall = Instant::now();
-    let out = run_broadcast(&routes, &hosts, 0, &cfg, ENGINE_BENCH_SEED);
+    let out = run_broadcast(&scenario.routes, &scenario.hosts, 0, &cfg, ENGINE_BENCH_SEED);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    (out, wall_ms, hosts.len())
+    (out, wall_ms, scenario.hosts.len())
 }
 
 /// Runs one point of the engine benchmark, returning the record as a JSON

@@ -26,6 +26,16 @@ use btt_netsim::synthetic::{FatTree, HeteroWan, StarOfStars};
 /// before 10 iterations on every dataset).
 pub const SYNTHETIC_ITERATIONS: u32 = 10;
 
+/// Most hosts a synthetic spec may ask for: 8× the largest preset, `wan-8k`.
+/// `btt serve` parses specs from wire input, so no spec may overflow the
+/// host count or ask for a network too large to build.
+pub const MAX_SCENARIO_HOSTS: usize = 65_536;
+
+/// Most switches and routers a synthetic spec may ask for. Routing keeps
+/// 4 B per pair of them, so this caps the route table at 64 MB; the largest
+/// preset, `fat-tree-4k`, has 273.
+pub const MAX_SCENARIO_SWITCHES: usize = 4_096;
+
 /// A buildable scenario: a paper dataset or a synthetic topology family
 /// member.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,13 +203,19 @@ impl ScenarioSpec {
                         "{text:?}: fat-tree wants <pods>x<racks>x<hosts>[:<edge_oversub>[:<core_oversub>]]"
                     ));
                 }
-                Ok(ScenarioSpec::FatTree(FatTree {
+                let f = FatTree {
                     pods: dim(0)?,
                     racks_per_pod: dim(1)?,
                     hosts_per_rack: dim(2)?,
                     edge_oversubscription: ratio(1, 4.0)?,
                     core_oversubscription: ratio(2, 1.0)?,
-                }))
+                };
+                // One edge switch per rack, one aggregation switch per pod,
+                // one core switch.
+                let racks = f.pods.saturating_mul(f.racks_per_pod);
+                let switches = racks.saturating_add(f.pods).saturating_add(1);
+                check_size(text, racks.saturating_mul(f.hosts_per_rack), switches)?;
+                Ok(ScenarioSpec::FatTree(f))
             }
             "star" => {
                 if dims.len() != 2 || parts.len() > 3 {
@@ -215,12 +231,16 @@ impl ScenarioSpec {
                         .filter(|&n| n > 0)
                         .ok_or_else(|| format!("{text:?}: bad hub host count {s:?}"))?,
                 };
-                Ok(ScenarioSpec::Star(StarOfStars {
+                let s = StarOfStars {
                     arms: dim(0)?,
                     hosts_per_arm: dim(1)?,
                     hub_hosts,
                     uplink_ratio: ratio(1, 0.25)?,
-                }))
+                };
+                // One switch per arm plus the hub's.
+                let hosts = s.arms.saturating_mul(s.hosts_per_arm).saturating_add(s.hub_hosts);
+                check_size(text, hosts, s.arms.saturating_add(1))?;
+                Ok(ScenarioSpec::Star(s))
             }
             "wan" => {
                 if dims.len() != 2 || parts.len() > 3 {
@@ -228,9 +248,13 @@ impl ScenarioSpec {
                         "{text:?}: wan wants <sites>x<hosts>[:<bottleneck_ratio>[:<access_mbps>]]"
                     ));
                 }
+                let (sites, hosts) = (dim(0)?, dim(1)?);
+                // A switch and a router per site, plus the WAN core router.
+                let switches = sites.saturating_mul(2).saturating_add(1);
+                check_size(text, sites.saturating_mul(hosts), switches)?;
                 Ok(ScenarioSpec::Wan {
-                    sites: dim(0)?,
-                    hosts: dim(1)?,
+                    sites,
+                    hosts,
                     bottleneck_ratio: ratio(1, 0.5)?,
                     access_mbps: ratio(2, btt_netsim::synthetic::SYNTH_ACCESS_MBPS)?,
                 })
@@ -355,6 +379,21 @@ impl ScenarioSpec {
     }
 }
 
+/// Rejects a synthetic network with more than [`MAX_SCENARIO_HOSTS`] hosts
+/// or [`MAX_SCENARIO_SWITCHES`] switches and routers. Callers count with
+/// saturating arithmetic, so a count that overflows reads as too large.
+fn check_size(text: &str, hosts: usize, switches: usize) -> Result<(), String> {
+    if hosts > MAX_SCENARIO_HOSTS {
+        return Err(format!("{text:?}: more than MAX_SCENARIO_HOSTS = {MAX_SCENARIO_HOSTS} hosts"));
+    }
+    if switches > MAX_SCENARIO_SWITCHES {
+        return Err(format!(
+            "{text:?}: more than MAX_SCENARIO_SWITCHES = {MAX_SCENARIO_SWITCHES} switches and routers"
+        ));
+    }
+    Ok(())
+}
+
 /// Ground truth with one cluster per (site, physical cluster) pair — the
 /// rack granularity for fat-trees.
 fn per_cluster_truth(grid: &Grid5000, s: &Scenario) -> Partition {
@@ -431,6 +470,28 @@ mod tests {
         ] {
             assert!(ScenarioSpec::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn oversized_specs_are_rejected_naming_the_limit() {
+        for (text, limit) in [
+            ("wan:100000x100000", "MAX_SCENARIO_HOSTS = 65536"),
+            ("fat-tree:100000x100000x100000", "MAX_SCENARIO_HOSTS = 65536"),
+            // The host-count product overflows usize.
+            ("wan:4294967296x4294967296", "MAX_SCENARIO_HOSTS = 65536"),
+            ("star:65536x1", "MAX_SCENARIO_HOSTS = 65536"),
+            ("star:1x1:0.25:65536", "MAX_SCENARIO_HOSTS = 65536"),
+            // Few enough hosts, but too many switches and routers to route
+            // over: 65,537 and 4,161.
+            ("wan:32768x2", "MAX_SCENARIO_SWITCHES = 4096"),
+            ("fat-tree:64x64x1", "MAX_SCENARIO_SWITCHES = 4096"),
+        ] {
+            let err = ScenarioSpec::parse(text).expect_err(text);
+            assert!(err.contains(limit), "{text:?}: {err}");
+        }
+        // The limits themselves are allowed.
+        assert!(ScenarioSpec::parse("wan:1x65536").is_ok());
+        assert!(ScenarioSpec::parse("star:4095x16:0.25:16").is_ok());
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! in adjacency insertion order). A route is read back as the sequence of
 //! directed [`ChannelId`]s a flow occupies, which is exactly what the max-min
 //! solver needs.
+//!
+//! BFS runs over the *core* only. A *leaf* is a node with exactly one link
+//! whose neighbour, its *attachment*, has more than one. A leaf relays no
+//! traffic: on any BFS tree it is discovered last along its one link and
+//! discovers nothing, so dropping leaves from the queue leaves every core
+//! node's discovery order and parent channel unchanged. A leaf's route is
+//! its access channel plus its attachment's core route, and a route to a
+//! leaf is its attachment's core route plus the downlink.
 
 use crate::topology::{ChannelId, NodeId, Topology};
 use std::sync::Arc;
@@ -12,32 +20,61 @@ use std::sync::Arc;
 /// Parent entry of a BFS root and of nodes it cannot reach.
 const NO_PARENT: u32 = u32::MAX;
 
+/// How a node reaches the core.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// A core node, with its index into the core table.
+    Core(u32),
+    /// A leaf, with its access channel (leaf → attachment).
+    Leaf(ChannelId),
+}
+
 /// All-pairs routes over a topology.
 ///
-/// Paths are stored from every node (not just hosts) so baselines can probe
-/// arbitrary endpoints. The table is one flat array of BFS parent channels,
-/// 4 B per node pair: about 76 MB for the 4,369 nodes of a 4096-host
-/// fat-tree.
+/// Paths are available from every node (not just hosts) so baselines can
+/// probe arbitrary endpoints. Storage is one flat array of BFS parent
+/// channels over core node pairs, 4 B × core², plus one attachment entry per
+/// node. A 4096-host fat-tree has 273 core nodes among its 4,369, so its
+/// table is about 0.3 MB.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     topo: Arc<Topology>,
-    /// `parents[src * n + node]` = index of the directed channel parent→node
-    /// on the BFS tree rooted at `src`, or [`NO_PARENT`]. The channel's tail
-    /// is the parent, so a route is walked with one table load and one link
-    /// lookup per hop.
+    /// Per node: its core index, or a leaf's access channel.
+    place: Vec<Place>,
+    /// Number of core nodes.
+    cores: usize,
+    /// `parents[s * cores + i]` = index of the directed channel parent→node
+    /// on the BFS tree rooted at core node `s`, for core node `i`, or
+    /// [`NO_PARENT`]. The channel's tail is the parent, so a route is walked
+    /// with one table load and one link lookup per hop.
     parents: Vec<u32>,
 }
 
 impl RouteTable {
-    /// Computes routes for `topo` by BFS from every node.
+    /// Computes routes for `topo` by BFS from every core node.
     pub fn new(topo: Arc<Topology>) -> Self {
-        let n = topo.num_nodes();
-        let mut parents = vec![NO_PARENT; n * n];
-        let mut queue = Vec::with_capacity(n);
-        for (s, row) in parents.chunks_exact_mut(n.max(1)).enumerate() {
-            bfs(&topo, NodeId(s as u32), row, &mut queue);
+        let mut core = Vec::new();
+        let place: Vec<Place> = (0..topo.num_nodes() as u32)
+            .map(|v| {
+                let v = NodeId(v);
+                match *topo.neighbors(v) {
+                    [(attachment, link)] if topo.neighbors(attachment).len() > 1 => {
+                        Place::Leaf(topo.channel_from(link, v).expect("neighbors share their link"))
+                    }
+                    _ => {
+                        core.push(v);
+                        Place::Core(core.len() as u32 - 1)
+                    }
+                }
+            })
+            .collect();
+        let cores = core.len();
+        let mut parents = vec![NO_PARENT; cores * cores];
+        let mut queue = Vec::with_capacity(cores);
+        for (&src, row) in core.iter().zip(parents.chunks_exact_mut(cores.max(1))) {
+            bfs(&topo, &place, src, row, &mut queue);
         }
-        RouteTable { topo, parents }
+        RouteTable { topo, place, cores, parents }
     }
 
     /// The topology these routes were computed for.
@@ -78,25 +115,47 @@ impl RouteTable {
         out.reverse();
     }
 
-    /// The route's channels from `dst` back to `src`, following the BFS
-    /// tree rooted at `src`. Panics on reaching a node without a parent.
+    /// The core node `v` routes through, and a leaf's access channel.
+    fn entry(&self, v: NodeId) -> (NodeId, Option<ChannelId>) {
+        match self.place[v.idx()] {
+            Place::Core(_) => (v, None),
+            Place::Leaf(up) => (self.topo.channel_head(up), Some(up)),
+        }
+    }
+
+    /// Index of core node `v` into the core table.
+    fn core_index(&self, v: NodeId) -> usize {
+        match self.place[v.idx()] {
+            Place::Core(i) => i as usize,
+            Place::Leaf(_) => unreachable!("leaves relay no traffic"),
+        }
+    }
+
+    /// The route's channels from `dst` back to `src`: the downlink into a
+    /// leaf `dst`, the core route back along the BFS tree rooted at `src`'s
+    /// core node, then a leaf `src`'s access channel. Panics on reaching a
+    /// core node without a parent.
     fn walk(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
-        let n = self.topo.num_nodes();
-        let row = &self.parents[src.idx() * n..][..n];
-        let mut cur = dst;
-        std::iter::from_fn(move || {
-            if cur == src {
+        let (s, up) = self.entry(src);
+        let (d, down) = self.entry(dst);
+        let (up, down) =
+            if src == dst { (None, None) } else { (up, down.map(ChannelId::opposite)) };
+        let row = &self.parents[self.core_index(s) * self.cores..][..self.cores];
+        let mut cur = d;
+        let core = std::iter::from_fn(move || {
+            if cur == s {
                 return None;
             }
             // The flow travels parent -> cur over the stored channel.
-            let ch = row[cur.idx()];
+            let ch = row[self.core_index(cur)];
             if ch == NO_PARENT {
                 panic!("no route from {src} to {dst} (disconnected topology?)");
             }
             let ch = ChannelId(ch);
             cur = self.topo.channel_tail(ch);
             Some(ch)
-        })
+        });
+        down.into_iter().chain(core).chain(up)
     }
 
     /// Tightest per-flow cap along the route, if any link imposes one.
@@ -109,20 +168,27 @@ impl RouteTable {
     }
 }
 
-/// Fills `parents` (one row of the table, all [`NO_PARENT`] on entry) with
-/// the BFS tree rooted at `src`. A node is visited once it has a parent, so
-/// the row doubles as the visited set; `queue` is scratch reused across
-/// sources.
-fn bfs(topo: &Topology, src: NodeId, parents: &mut [u32], queue: &mut Vec<NodeId>) {
+/// Fills `parents` (one row of the core table, all [`NO_PARENT`] on entry)
+/// with the BFS tree rooted at core node `src`, skipping leaves. A node is
+/// visited once it has a parent, so the row doubles as the visited set;
+/// `queue` is scratch reused across sources.
+fn bfs(
+    topo: &Topology,
+    place: &[Place],
+    src: NodeId,
+    parents: &mut [u32],
+    queue: &mut Vec<NodeId>,
+) {
     queue.clear();
     queue.push(src);
     let mut head = 0;
     while let Some(&u) = queue.get(head) {
         head += 1;
         for &(v, link) in topo.neighbors(u) {
-            if v != src && parents[v.idx()] == NO_PARENT {
+            let Place::Core(i) = place[v.idx()] else { continue };
+            if v != src && parents[i as usize] == NO_PARENT {
                 let ch = topo.channel_from(link, u).expect("neighbors share their link");
-                parents[v.idx()] = ch.0;
+                parents[i as usize] = ch.0;
                 queue.push(v);
             }
         }

@@ -67,6 +67,12 @@ impl ChannelId {
     pub fn link(self) -> LinkId {
         LinkId(self.0 / 2)
     }
+
+    /// The same link's channel in the other direction.
+    #[inline]
+    pub fn opposite(self) -> ChannelId {
+        ChannelId(self.0 ^ 1)
+    }
 }
 
 /// What a node is. Only hosts terminate flows; switches and routers forward.
@@ -426,17 +432,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no route")]
+    #[should_panic(expected = "no route from n0 to n1")]
     fn routes_across_components_panic() {
-        // `build` rejects disconnected topologies, so assemble one directly:
-        // `tiny()` without the h2-sw link.
+        use crate::routing::RouteTable;
+        use std::sync::Arc;
+        // `build` rejects disconnected topologies, so assemble them directly.
+        // First `tiny()` without the h2-sw link: no node there is a leaf.
         let t = tiny();
         let (h1, h2, sw) = (NodeId(0), NodeId(1), NodeId(2));
         let adjacency = vec![vec![(sw, LinkId(0))], Vec::new(), vec![(h1, LinkId(0))]];
-        let split =
-            Topology { nodes: t.nodes, links: vec![t.links[0].clone()], adjacency, hosts: t.hosts };
-        let rt = crate::routing::RouteTable::new(std::sync::Arc::new(split));
+        let split = Topology {
+            nodes: t.nodes.clone(),
+            links: vec![t.links[0].clone()],
+            adjacency,
+            hosts: t.hosts.clone(),
+        };
+        let rt = RouteTable::new(Arc::new(split));
         assert_eq!(rt.route(h1, sw).len(), 1);
+        let err = std::panic::catch_unwind(|| rt.route(h1, h2)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.starts_with("no route from n0 to n1"), "{msg}");
+
+        // Then two stars h1 - sw - h3 and h2 - sw2 - h4: h1 and h2 are
+        // leaves, and the panic names them, not their attachments.
+        let mut b = TopologyBuilder::new();
+        let h1 = b.add_host("h1", "s", "c");
+        let h2 = b.add_host("h2", "s", "c");
+        let sw = b.add_switch("sw", "s");
+        let sw2 = b.add_switch("sw2", "s");
+        let h3 = b.add_host("h3", "s", "c");
+        let h4 = b.add_host("h4", "s", "c");
+        let bw = LinkSpec::lan(Bandwidth::from_mbps(890.0));
+        b.link(h1, sw, bw);
+        b.link(h3, sw, bw);
+        b.link(h2, sw2, bw);
+        b.link(h4, sw2, bw);
+        let adjacency = vec![
+            vec![(sw, LinkId(0))],
+            vec![(sw2, LinkId(2))],
+            vec![(h1, LinkId(0)), (h3, LinkId(1))],
+            vec![(h2, LinkId(2)), (h4, LinkId(3))],
+            vec![(sw, LinkId(1))],
+            vec![(sw2, LinkId(3))],
+        ];
+        let hosts = vec![h1, h2, h3, h4];
+        let split = Topology { nodes: b.nodes, links: b.links, adjacency, hosts };
+        let rt = RouteTable::new(Arc::new(split));
+        assert_eq!(rt.route(h1, h3).len(), 2);
         rt.route(h1, h2);
     }
 

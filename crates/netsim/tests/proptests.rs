@@ -81,14 +81,37 @@ fn two_tier(clusters: usize, hosts_per: usize, access_mbps: f64, trunk_mbps: f64
     Arc::new(b.build().unwrap())
 }
 
+/// A shape the route table special-cases, grafted onto a random topology.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// The random topology as generated.
+    Plain,
+    /// Plus a host with two links.
+    TwoLinkHost,
+    /// Plus a switch with one link.
+    OneLinkSwitch,
+    /// Plus a second link parallel to a spanning-tree link.
+    ParallelLinks,
+    /// Only two nodes and one link: both ends have one link, so neither is
+    /// a leaf.
+    TwoNodes,
+}
+
+const SHAPES: [Shape; 5] =
+    [Shape::Plain, Shape::TwoLinkHost, Shape::OneLinkSwitch, Shape::ParallelLinks, Shape::TwoNodes];
+
 /// A random connected topology: `nodes` nodes (hosts and switches), a
 /// random spanning tree, then `extra` random links — parallel links and
-/// cycles included, so BFS tie-breaking is exercised.
-fn random_topology(nodes: usize, extra: usize, seed: u64) -> Arc<Topology> {
+/// cycles included, so BFS tie-breaking is exercised — then `shape`.
+fn random_topology(nodes: usize, extra: usize, seed: u64, shape: Shape) -> Arc<Topology> {
     let mut x = seed;
     let mut next = move || {
         x = btt_netsim::util::splitmix64(x);
         x as usize
+    };
+    let (nodes, extra) = match shape {
+        Shape::TwoNodes => (2, 0),
+        _ => (nodes, extra),
     };
     let mut b = TopologyBuilder::new();
     let ids: Vec<NodeId> = (0..nodes)
@@ -101,14 +124,31 @@ fn random_topology(nodes: usize, extra: usize, seed: u64) -> Arc<Topology> {
         })
         .collect();
     let bw = LinkSpec::lan(Bandwidth::from_mbps(890.0));
-    for i in 1..nodes {
-        b.link(ids[i], ids[next() % i], bw);
+    let tree: Vec<(NodeId, NodeId)> = (1..nodes).map(|i| (ids[i], ids[next() % i])).collect();
+    for &(a, c) in &tree {
+        b.link(a, c, bw);
     }
     for _ in 0..extra {
         let a = next() % nodes;
         let c = next() % nodes;
         if a != c {
             b.link(ids[a], ids[c], bw);
+        }
+    }
+    match shape {
+        Shape::Plain | Shape::TwoNodes => {}
+        Shape::TwoLinkHost => {
+            let h = b.add_host("two-link", "s", "c");
+            b.link(h, ids[next() % nodes], bw);
+            b.link(h, ids[next() % nodes], bw);
+        }
+        Shape::OneLinkSwitch => {
+            let sw = b.add_switch("one-link", "s");
+            b.link(sw, ids[next() % nodes], bw);
+        }
+        Shape::ParallelLinks => {
+            let (a, c) = tree[next() % tree.len()];
+            b.link(a, c, bw);
         }
     }
     Arc::new(b.build().unwrap())
@@ -148,26 +188,28 @@ fn bfs_oracle(topo: &Topology, src: NodeId) -> Vec<Vec<ChannelId>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The flat route table returns exactly the per-source BFS oracle's
-    /// route and hop count for every ordered node pair.
+    /// The core route table returns exactly the per-source BFS oracle's
+    /// route and hop count for every ordered node pair, on every shape.
     #[test]
     fn route_table_matches_bfs_oracle(
         nodes in 2usize..40,
         extra in 0usize..60,
         seed in any::<u64>(),
     ) {
-        let topo = random_topology(nodes, extra, seed);
-        let rt = RouteTable::new(topo.clone());
-        let mut buf = Vec::new();
-        for s in 0..nodes {
-            let src = NodeId(s as u32);
-            let oracle = bfs_oracle(&topo, src);
-            for (d, want) in oracle.iter().enumerate() {
-                let dst = NodeId(d as u32);
-                prop_assert_eq!(&rt.route(src, dst), want, "route {} -> {}", src, dst);
-                prop_assert_eq!(rt.hops(src, dst) as usize, want.len());
-                rt.route_into(src, dst, &mut buf);
-                prop_assert_eq!(&buf, want);
+        for shape in SHAPES {
+            let topo = random_topology(nodes, extra, seed, shape);
+            let rt = RouteTable::new(topo.clone());
+            let mut buf = Vec::new();
+            for s in 0..topo.num_nodes() {
+                let src = NodeId(s as u32);
+                let oracle = bfs_oracle(&topo, src);
+                for (d, want) in oracle.iter().enumerate() {
+                    let dst = NodeId(d as u32);
+                    prop_assert_eq!(&rt.route(src, dst), want, "{:?}: route {} -> {}", shape, src, dst);
+                    prop_assert_eq!(rt.hops(src, dst) as usize, want.len());
+                    rt.route_into(src, dst, &mut buf);
+                    prop_assert_eq!(&buf, want);
+                }
             }
         }
     }
