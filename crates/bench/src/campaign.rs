@@ -15,7 +15,6 @@
 //! files regardless of thread count. That property is what makes campaign
 //! outputs diffable across PRs (the ROADMAP's perf/accuracy trajectory).
 
-use btt_core::pipeline::ClusteringAlgorithm;
 use btt_core::prelude::*;
 use btt_core::scenarios::ScenarioSpec;
 use btt_core::serialize::{convergence_csv, csv, json};
@@ -24,7 +23,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A `--backends` (or `--algorithms`) list that failed to parse. Typed so
+/// A `--backends` list that failed to parse. Typed so
 /// the CLI can exit with a message naming the exact offending entry rather
 /// than a generic "bad list".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -514,11 +513,10 @@ pub struct InferenceBenchPoint {
     /// Broadcast iterations — and therefore convergence-series prefixes.
     pub iterations: u32,
     /// Wall-clock of the same convergence series on the pre-refactor
-    /// serial path (`convergence_series_serial`: O(n²) re-aggregation and
-    /// a dense Louvain per prefix), in milliseconds, measured once at the
-    /// streaming-inference PR on its reference machine. Absolute values
-    /// are machine-dependent; the recorded speedups are the comparable
-    /// quantity.
+    /// serial path (O(n²) re-aggregation and a dense Louvain per prefix),
+    /// in milliseconds, measured once at the streaming-inference PR on its
+    /// reference machine. Absolute values are machine-dependent; the
+    /// recorded speedups are the comparable quantity.
     pub baseline_serial_ms: Option<f64>,
     /// Worker threads for the phase-1 measurement campaign
     /// (`TomographySession::threads`). The campaign pool's in-order reorder

@@ -17,11 +17,12 @@ use std::sync::Arc;
 /// measurements. The paper found Infomap "does not perform as well as
 /// modularity based clustering for this particular problem".
 pub fn ablation_infomap(ctx: &mut ReproCtx) {
-    let algorithms = [
+    let backends = [
         ClusteringAlgorithm::Louvain,
         ClusteringAlgorithm::Infomap,
         ClusteringAlgorithm::LabelPropagation,
-    ];
+    ]
+    .map(Backend::from);
     let mut rows = vec![vec![
         "dataset".into(),
         "algorithm".into(),
@@ -36,18 +37,18 @@ pub fn ablation_infomap(ctx: &mut ReproCtx) {
             let report = ctx.report(d);
             (metric_graph(&report.campaign.metric), report.ground_truth.clone())
         };
-        for alg in algorithms {
-            let p = alg.cluster(&graph, ctx.seed);
+        for backend in backends {
+            let p = backend.infer(&graph, ctx.seed);
             let o = onmi_partitions(&p, &truth);
             let s = nmi(&p, &truth);
             rows.push(vec![
                 d.id().into(),
-                alg.name().into(),
+                backend.name().into(),
                 p.num_clusters().to_string(),
                 format!("{o:.3}"),
                 format!("{s:.3}"),
             ]);
-            csv.push(format!("{},{},{},{o:.4},{s:.4}", d.id(), alg.name(), p.num_clusters()));
+            csv.push(format!("{},{},{},{o:.4},{s:.4}", d.id(), backend.name(), p.num_clusters()));
         }
     }
     println!("{}", text_table(&rows));
@@ -239,7 +240,7 @@ pub fn ablation_hierarchy(ctx: &mut ReproCtx) {
             let report = ctx.report(d);
             (metric_graph(&report.campaign.metric), report.ground_truth.clone())
         };
-        let flat = ClusteringAlgorithm::Louvain.cluster(&graph, ctx.seed);
+        let flat = Backend::default().infer(&graph, ctx.seed);
         let hier = recursive_louvain(&graph, ctx.seed, HierarchyConfig::default());
         let leaves = hier.leaf_partition();
         let fo = onmi_partitions(&flat, &truth);
@@ -315,8 +316,7 @@ pub fn ablation_dynamic(ctx: &mut ReproCtx) {
         // Score both views against the *current* truth after the change.
         if after_change {
             let score = |acc: &MetricAccumulator| {
-                let p =
-                    ClusteringAlgorithm::Louvain.cluster(&metric_graph(acc), ctx.seed ^ k as u64);
+                let p = Backend::default().infer(&metric_graph(acc), ctx.seed ^ k as u64);
                 onmi_partitions(&p, &truth_after)
             };
             cum_final = score(&cumulative);

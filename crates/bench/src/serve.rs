@@ -2,7 +2,8 @@
 //!
 //! A daemon loop accepting campaign jobs over a newline-delimited-JSON TCP
 //! socket (schema [`SERVE_SCHEMA`]). Each submitted job runs as its own
-//! worker thread driving a streaming [`LiveSession`]: broadcasts complete
+//! worker thread driving a streaming
+//! [`LiveSession`](btt_core::session::LiveSession): broadcasts complete
 //! one at a time, observations fold into the live metric, and the session
 //! re-clusters on its cadence — so a `snapshot` request answered mid-job
 //! returns the freshest scored partition with the reliability confidence
@@ -45,6 +46,12 @@ use std::thread::JoinHandle;
 
 /// Version tag every `btt serve` request and response carries.
 pub const SERVE_SCHEMA: &str = "btt-serve-v1";
+
+/// Most broadcast iterations one job may request. A session allocates its
+/// per-iteration state up front, so an unbounded count could exhaust
+/// memory before the first broadcast; this is about 100× the largest count
+/// any in-repo caller uses.
+pub const MAX_JOB_ITERATIONS: u32 = 10_000;
 
 /// A malformed or unanswerable request, rejected at the protocol boundary.
 ///
@@ -162,13 +169,12 @@ impl std::error::Error for ServeError {}
 pub struct JobSpec {
     /// The scenario to measure (required).
     pub scenario: ScenarioSpec,
-    /// Phase-2 inference backend (optional, default `louvain`; the wire
-    /// accepts the key as `backend` or, for pre-backend clients,
-    /// `algorithm`).
+    /// Phase-2 inference backend (optional, default `louvain`).
     pub backend: Backend,
     /// Master seed (optional, default 2012).
     pub seed: u64,
-    /// Broadcast iterations (optional, default: the scenario's own count).
+    /// Broadcast iterations (optional, default: the scenario's own count;
+    /// at most [`MAX_JOB_ITERATIONS`]).
     pub iterations: Option<u32>,
     /// File size in 16 KiB fragments (optional, default 256).
     pub pieces: u32,
@@ -196,7 +202,6 @@ impl JobSpec {
                 key.as_str(),
                 "scenario"
                     | "backend"
-                    | "algorithm"
                     | "seed"
                     | "iterations"
                     | "pieces"
@@ -212,20 +217,14 @@ impl JobSpec {
             .as_str()
             .ok_or_else(|| bad("scenario", "expected a spec string".to_string()))?;
         let scenario = ScenarioSpec::parse(scenario_str).map_err(|e| bad("scenario", e))?;
-        // `backend` is the field's name; `algorithm` is honored as an alias
-        // for pre-backend clients. Naming both is ambiguous, so it errors.
-        if v.get("backend").is_some() && v.get("algorithm").is_some() {
-            return Err(bad("backend", "give either backend or algorithm, not both".to_string()));
-        }
-        let backend_key = if v.get("algorithm").is_some() { "algorithm" } else { "backend" };
-        let backend = match v.get(backend_key) {
+        let backend = match v.get("backend") {
             None => Backend::default(),
             Some(a) => {
                 let name =
-                    a.as_str().ok_or_else(|| bad(backend_key, "expected a string".to_string()))?;
+                    a.as_str().ok_or_else(|| bad("backend", "expected a string".to_string()))?;
                 Backend::from_name(name).ok_or_else(|| {
                     bad(
-                        backend_key,
+                        "backend",
                         format!(
                             "unknown backend {name:?}; valid backends: {}",
                             Backend::name_list()
@@ -258,11 +257,18 @@ impl JobSpec {
                 .and_then(|u| usize::try_from(u).ok())
                 .ok_or_else(|| bad("threads", "expected an unsigned integer".to_string()))?,
         };
+        let iterations = u32_field("iterations", 1)?;
+        if iterations.is_some_and(|n| n > MAX_JOB_ITERATIONS) {
+            return Err(bad(
+                "iterations",
+                format!("at most MAX_JOB_ITERATIONS = {MAX_JOB_ITERATIONS} broadcasts per job"),
+            ));
+        }
         Ok(JobSpec {
             scenario,
             backend,
             seed,
-            iterations: u32_field("iterations", 1)?,
+            iterations,
             pieces: u32_field("pieces", 1)?.unwrap_or(256),
             recluster_every: u32_field("recluster_every", 1)?.unwrap_or(1),
             threads,
@@ -904,7 +910,15 @@ mod tests {
             (
                 Json::obj(vec![
                     ("scenario", Json::Str("2x2".to_string())),
-                    ("algorithm", Json::Str("quantum".to_string())),
+                    ("backend", Json::Str("quantum".to_string())),
+                ]),
+                "backend",
+            ),
+            // The pre-backend `algorithm` key is gone, not an alias.
+            (
+                Json::obj(vec![
+                    ("scenario", Json::Str("2x2".to_string())),
+                    ("algorithm", Json::Str("louvain".to_string())),
                 ]),
                 "algorithm",
             ),
@@ -929,7 +943,26 @@ mod tests {
             let err = resp.get("error").expect("submit must fail");
             assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_job_spec"));
             assert_eq!(err.get("field").and_then(Json::as_str), Some(field), "{resp:?}");
+            if field == "algorithm" {
+                let message = err.get("message").and_then(Json::as_str).unwrap();
+                assert!(message.contains("not a job spec field"), "{message}");
+            }
         }
+
+        // An iteration count too large to allocate is refused naming the
+        // limit, and the daemon keeps answering.
+        let huge = Json::obj(vec![
+            ("scenario", Json::Str("2x2".to_string())),
+            ("iterations", Json::UInt(4_000_000_000)),
+        ]);
+        let resp = client.request(&ServeClient::envelope("submit", vec![("job", huge)])).unwrap();
+        let err = resp.get("error").expect("submit must fail");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_job_spec"));
+        assert_eq!(err.get("field").and_then(Json::as_str), Some("iterations"));
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("MAX_JOB_ITERATIONS = 10000"), "{message}");
+        let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
+        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
 
         // A spec too large to build is refused naming the limit, and the
         // daemon keeps answering.

@@ -4,7 +4,7 @@
 //! diffable across PRs.
 
 use btt_bench::campaign::{check_outputs, run_sweep, write_outputs, SweepSpec};
-use btt_core::pipeline::ClusteringAlgorithm;
+use btt_core::backend::ClusteringAlgorithm;
 use btt_core::scenarios::ScenarioSpec;
 use btt_core::serialize::{json, ReportRecord};
 use std::fs;

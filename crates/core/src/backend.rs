@@ -1,16 +1,15 @@
 //! Pluggable phase-2 inference backends.
 //!
 //! The paper only ever validated one inference family — modularity-style
-//! graph clustering over the Eq. (2) metric. This module abstracts the
-//! "snapshot graph → host partition" step behind the [`InferenceBackend`]
-//! trait so independent families can be cross-validated on the same
-//! measurement campaign:
+//! graph clustering over the Eq. (2) metric. [`Backend`] selects the
+//! "snapshot graph → host partition" step so independent families can be
+//! cross-validated on the same measurement campaign:
 //!
-//! * [`ClusteringBackend`] re-homes the four historical
-//!   [`ClusteringAlgorithm`]s. It is *byte-identical* to the pre-trait
-//!   path: same per-prefix seed derivation, same [`LouvainScratch`] reuse
-//!   (pinned by `crates/core/tests/backend_golden.rs`).
-//! * [`AdditiveBackend`] is Ni & Tatikonda-style additive-metrics
+//! * [`Backend::Clustering`] runs one of the four historical
+//!   [`ClusteringAlgorithm`]s, byte-identical to the pre-backend path: same
+//!   per-prefix seed derivation, same [`LouvainScratch`] reuse (pinned by
+//!   `crates/core/tests/backend_golden.rs`).
+//! * [`Backend::Additive`] is Ni & Tatikonda-style additive-metrics
 //!   tomography ([`btt_cluster::additive`]): recursive grouping over the
 //!   log-throughput path metric, cut at the largest log-domain gap. It is
 //!   seedless — agreement between the two families on a scenario is
@@ -19,82 +18,44 @@
 //!
 //! [`Backend`] is the compact, copyable selector threaded through session
 //! builders, sweep specs, the serve job schema, and artifact writers;
-//! [`Backend::from_name`] / [`Backend::name`] define the CLI/JSON spelling.
-//! For clustering variants [`Backend::name`] deliberately returns the
-//! algorithm's own name (`"louvain"`, …) so artifact file stems and the
-//! report `algorithm` field survive the refactor byte-for-byte.
+//! [`Backend::infer_into`] is its one dispatch and [`Backend::from_name`] /
+//! [`Backend::name`] define the CLI/JSON spelling. For clustering variants
+//! [`Backend::name`] deliberately returns the algorithm's own name
+//! (`"louvain"`, …) so artifact file stems and the report `algorithm` field
+//! survive the refactor byte-for-byte.
 
-use crate::pipeline::ClusteringAlgorithm;
 use btt_cluster::additive::additive_partition;
 use btt_cluster::graph::WeightedGraph;
-use btt_cluster::louvain::LouvainScratch;
+use btt_cluster::hierarchy::{recursive_louvain, HierarchyConfig};
+use btt_cluster::infomap::infomap;
+use btt_cluster::labelprop::label_propagation;
+use btt_cluster::louvain::{louvain_into, LouvainConfig, LouvainScratch};
 use btt_cluster::partition::Partition;
 
-/// The phase-2 contract: turn one measurement snapshot graph into a host
-/// partition.
-///
-/// Determinism invariants every implementation must uphold (they are what
-/// keeps reports byte-identical across thread counts, drive modes, and
-/// batch/stream control flow):
-///
-/// * `infer` is a pure function of `(graph, seed)` — the scratch argument
-///   is working memory only and must never influence the output;
-/// * no global or ambient randomness: a backend that needs random choices
-///   derives them from `seed` alone;
-/// * no interior mutability keyed on call order: calling `infer` twice
-///   with the same arguments yields the same partition.
-pub trait InferenceBackend {
-    /// The backend's canonical (lower-case) name, as spelled in CLI flags,
-    /// job specs, and artifact fields.
-    fn name(&self) -> &'static str;
-
-    /// Infers the host partition from one snapshot measurement graph.
-    /// `scratch` is reusable Louvain working memory (ignored by backends
-    /// that do not run Louvain).
-    fn infer(&self, g: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch) -> Partition;
-
-    /// Whether the backend consumes the seed at all. Seedless backends are
-    /// deterministic per graph; reporting layers use this to annotate
-    /// cost/diagnostic output (a seed sweep over a seedless backend is
-    /// wasted work).
-    fn uses_seed(&self) -> bool {
-        true
-    }
-}
-
-/// The historical phase-2 path: one of the four clustering algorithms,
-/// behind the backend trait. Delegates to
-/// [`ClusteringAlgorithm::cluster_into`] with the caller's scratch — the
-/// exact call the pipeline made before the trait existed.
+/// Which phase-2 algorithm clusters the measurement graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusteringBackend(pub ClusteringAlgorithm);
-
-impl InferenceBackend for ClusteringBackend {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn infer(&self, g: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch) -> Partition {
-        self.0.cluster_into(g, seed, scratch)
-    }
+pub enum ClusteringAlgorithm {
+    /// Modularity-maximizing Louvain (the paper's method, §III-B).
+    Louvain,
+    /// Map-equation Infomap (the paper's §III-D negative comparison).
+    Infomap,
+    /// Label propagation (extra baseline).
+    LabelPropagation,
+    /// Recursive Louvain (the paper's §V future-work extension): splits
+    /// clusters while sub-structure remains substantial and reports the
+    /// finest level.
+    HierarchicalLouvain,
 }
 
-/// Additive-metrics tomography (Ni & Tatikonda): recursive grouping over
-/// the log-throughput path metric. Seedless and scratch-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdditiveBackend;
-
-impl InferenceBackend for AdditiveBackend {
-    fn name(&self) -> &'static str {
-        "additive"
-    }
-
-    fn infer(&self, g: &WeightedGraph, _seed: u64, _scratch: &mut LouvainScratch) -> Partition {
-        additive_partition(g)
-    }
-
-    fn uses_seed(&self) -> bool {
-        false
+impl ClusteringAlgorithm {
+    /// Human-readable name.
+    pub fn name(self) -> &'static str {
+        match self {
+            ClusteringAlgorithm::Louvain => "louvain",
+            ClusteringAlgorithm::Infomap => "infomap",
+            ClusteringAlgorithm::LabelPropagation => "label-propagation",
+            ClusteringAlgorithm::HierarchicalLouvain => "hierarchical-louvain",
+        }
     }
 }
 
@@ -102,10 +63,10 @@ impl InferenceBackend for AdditiveBackend {
 /// session builders, sweep specs, serve jobs, and artifact writers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One of the four historical clustering algorithms
-    /// (see [`ClusteringBackend`]).
+    /// One of the four historical clustering algorithms.
     Clustering(ClusteringAlgorithm),
-    /// Additive-metrics tomography (see [`AdditiveBackend`]).
+    /// Additive-metrics tomography (Ni & Tatikonda): recursive grouping
+    /// over the log-throughput path metric. Seedless and scratch-free.
     Additive,
 }
 
@@ -124,7 +85,7 @@ impl Default for Backend {
 
 impl Backend {
     /// All backends, in a stable sweep order: the four clustering
-    /// algorithms (matching [`ClusteringAlgorithm::ALL`]), then additive.
+    /// algorithms, then additive.
     pub const ALL: [Backend; 5] = [
         Backend::Clustering(ClusteringAlgorithm::Louvain),
         Backend::Clustering(ClusteringAlgorithm::Infomap),
@@ -133,16 +94,19 @@ impl Backend {
         Backend::Additive,
     ];
 
-    /// Parses a backend name, case-insensitively. Accepts every
-    /// [`ClusteringAlgorithm::from_name`] spelling, the family name
-    /// `"clustering"` (= the paper's Louvain), and `"additive"`
-    /// (shorthand `"add"`).
+    /// Parses a backend name, case-insensitively: every [`Backend::name`],
+    /// the shorthands `"im"`, `"lp"`, `"hlouvain"` and `"add"`, and the
+    /// family name `"clustering"` (= the paper's Louvain).
     pub fn from_name(name: &str) -> Option<Backend> {
-        match name.to_ascii_lowercase().as_str() {
-            "clustering" => Some(Backend::Clustering(ClusteringAlgorithm::Louvain)),
-            "additive" | "add" => Some(Backend::Additive),
-            other => ClusteringAlgorithm::from_name(other).map(Backend::Clustering),
-        }
+        use ClusteringAlgorithm::*;
+        Some(match name.to_ascii_lowercase().as_str() {
+            "louvain" | "clustering" => Backend::Clustering(Louvain),
+            "infomap" | "im" => Backend::Clustering(Infomap),
+            "label-propagation" | "lp" => Backend::Clustering(LabelPropagation),
+            "hierarchical-louvain" | "hlouvain" => Backend::Clustering(HierarchicalLouvain),
+            "additive" | "add" => Backend::Additive,
+            _ => return None,
+        })
     }
 
     /// Every name [`Backend::from_name`] accepts, for error messages
@@ -157,17 +121,16 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Clustering(a) => a.name(),
-            Backend::Additive => AdditiveBackend.name(),
+            Backend::Additive => "additive",
         }
     }
 
-    /// Whether the backend consumes the seed (see
-    /// [`InferenceBackend::uses_seed`]).
+    /// Whether the backend consumes the seed at all. Seedless backends are
+    /// deterministic per graph; reporting layers use this to annotate
+    /// cost/diagnostic output (a seed sweep over a seedless backend is
+    /// wasted work).
     pub fn uses_seed(self) -> bool {
-        match self {
-            Backend::Clustering(a) => ClusteringBackend(a).uses_seed(),
-            Backend::Additive => AdditiveBackend.uses_seed(),
-        }
+        self != Backend::Additive
     }
 
     /// Runs the backend with fresh scratch memory.
@@ -175,9 +138,20 @@ impl Backend {
         self.infer_into(g, seed, &mut LouvainScratch::default())
     }
 
-    /// Runs the backend reusing caller-provided Louvain working memory —
-    /// the long-lived-session path. Output is identical to
-    /// [`Backend::infer`] for any scratch state.
+    /// Infers the host partition from one snapshot measurement graph,
+    /// reusing caller-provided Louvain working memory — the
+    /// long-lived-session path. Every phase-2 inference goes through here.
+    ///
+    /// Determinism contract (it is what keeps reports byte-identical across
+    /// thread counts, drive modes, and batch/stream control flow):
+    ///
+    /// * the output is a pure function of `(g, seed)` — `scratch` is
+    ///   working memory only and never influences it, so the result equals
+    ///   [`Backend::infer`]'s for any scratch state;
+    /// * no global or ambient randomness: every random choice derives from
+    ///   `seed` alone (the additive backend ignores it);
+    /// * no state keyed on call order: the same arguments always yield the
+    ///   same partition.
     pub fn infer_into(
         self,
         g: &WeightedGraph,
@@ -185,8 +159,17 @@ impl Backend {
         scratch: &mut LouvainScratch,
     ) -> Partition {
         match self {
-            Backend::Clustering(a) => ClusteringBackend(a).infer(g, seed, scratch),
-            Backend::Additive => AdditiveBackend.infer(g, seed, scratch),
+            Backend::Clustering(ClusteringAlgorithm::Louvain) => {
+                louvain_into(g, seed, LouvainConfig::default(), scratch).best().clone()
+            }
+            Backend::Clustering(ClusteringAlgorithm::Infomap) => infomap(g, seed).best().clone(),
+            Backend::Clustering(ClusteringAlgorithm::LabelPropagation) => {
+                label_propagation(g, seed, 200)
+            }
+            Backend::Clustering(ClusteringAlgorithm::HierarchicalLouvain) => {
+                recursive_louvain(g, seed, HierarchyConfig::default()).leaf_partition()
+            }
+            Backend::Additive => additive_partition(g),
         }
     }
 }
@@ -195,16 +178,38 @@ impl Backend {
 mod tests {
     use super::*;
     use btt_cluster::generators::planted_partition;
+    use btt_cluster::louvain::louvain;
 
     #[test]
     fn clustering_backend_matches_the_direct_algorithm_call() {
         let (g, _) = planted_partition(3, 8, 9.0, 0.4, 11);
-        for alg in ClusteringAlgorithm::ALL {
-            let direct = alg.cluster(&g, 42);
-            let via_enum = Backend::Clustering(alg).infer(&g, 42);
-            let via_trait = ClusteringBackend(alg).infer(&g, 42, &mut LouvainScratch::default());
-            assert_eq!(direct, via_enum, "{}", alg.name());
-            assert_eq!(direct, via_trait, "{}", alg.name());
+        let direct = [
+            louvain(&g, 42).best().clone(),
+            infomap(&g, 42).best().clone(),
+            label_propagation(&g, 42, 200),
+            recursive_louvain(&g, 42, HierarchyConfig::default()).leaf_partition(),
+            additive_partition(&g),
+        ];
+        for (b, want) in Backend::ALL.into_iter().zip(direct) {
+            assert_eq!(b.infer(&g, 42), want, "{}", b.name());
+        }
+    }
+
+    #[test]
+    fn infer_into_matches_infer_for_any_scratch_state() {
+        let (g, _) = planted_partition(2, 4, 9.0, 0.4, 5);
+        let mut scratch = LouvainScratch::default();
+        for b in Backend::ALL {
+            // A dirty scratch (reused across backends and seeds) must not
+            // change a single assignment.
+            for seed in [1u64, 99, 0xFFFF_FFFF] {
+                assert_eq!(
+                    b.infer_into(&g, seed, &mut scratch),
+                    b.infer(&g, seed),
+                    "{} seed {seed}",
+                    b.name()
+                );
+            }
         }
     }
 
@@ -224,6 +229,18 @@ mod tests {
             Some(Backend::Clustering(ClusteringAlgorithm::HierarchicalLouvain))
         );
         assert_eq!(Backend::from_name("nope"), None);
+    }
+
+    #[test]
+    fn infomap_parses_as_im() {
+        let infomap = Some(Backend::Clustering(ClusteringAlgorithm::Infomap));
+        assert_eq!(Backend::from_name("im"), infomap);
+        assert_eq!(Backend::from_name("IM"), infomap);
+        assert_eq!(Backend::from_name("imp"), None);
+        for token in ["im", "lp", "hlouvain", "add", "clustering"] {
+            assert!(Backend::name_list().contains(token), "{token}");
+            assert!(Backend::from_name(token).is_some());
+        }
     }
 
     #[test]

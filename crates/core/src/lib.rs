@@ -43,17 +43,16 @@ pub mod session;
 
 /// Commonly used items, including re-exports of the phase crates' preludes.
 pub mod prelude {
-    pub use crate::backend::{AdditiveBackend, Backend, ClusteringBackend, InferenceBackend};
+    pub use crate::backend::{Backend, ClusteringAlgorithm};
     pub use crate::collectives::{
         cluster_aware_broadcast, flat_binomial_broadcast, CollectiveResult,
     };
     pub use crate::dataset::{ip_labels, logical_clusters, Dataset, Scenario};
     pub use crate::diagnosis::{bottleneck_candidates, diagnosed_bottlenecks, BottleneckCandidate};
     pub use crate::pipeline::{
-        analyze, auto_metric_graph, convergence_series, convergence_series_serial,
-        convergence_series_timed, degenerate_partition, metric_graph, sparse_metric_graph,
-        ClusteringAlgorithm, ConvergencePoint, InferenceTiming, PipelineError, ReliabilityReport,
-        TomographyReport, DEFAULT_PRUNE, SPARSE_NODE_THRESHOLD,
+        analyze, auto_metric_graph, convergence_series, convergence_series_timed,
+        degenerate_partition, metric_graph, sparse_metric_graph, ConvergencePoint, InferenceTiming,
+        PipelineError, ReliabilityReport, TomographyReport, DEFAULT_PRUNE, SPARSE_NODE_THRESHOLD,
     };
     pub use crate::report::{cluster_listing, convergence_table, summary_line};
     pub use crate::scenarios::ScenarioSpec;

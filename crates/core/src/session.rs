@@ -25,24 +25,19 @@
 //! [`LiveSession::current_best`] partition — with the reliability
 //! confidence fields — at any point mid-campaign. [`LiveSession::finalize`]
 //! then yields a [`TomographyReport`] byte-identical to what the batch
-//! path produces from the same seed: the fold order, per-prefix seeds,
-//! graph policy, and clustering are the batch pipeline's own, so inverting
-//! the control flow changes *when* inference happens, never *what* it
-//! computes.
+//! path produces from the same seed: snapshots are scored by the batch
+//! pipeline's per-prefix scorer, and the report comes out of the batch
+//! pipeline's own series and report assembler, so inverting the control
+//! flow changes *when* inference happens, never *what* it computes.
 
 use crate::backend::Backend;
 use crate::dataset::{Dataset, Scenario};
-use crate::diagnosis::inference_diagnosis;
 use crate::pipeline::{
-    analyze, auto_metric_graph, degenerate_partition, ClusteringAlgorithm, ConvergencePoint,
-    PipelineError, ReliabilityReport, TomographyReport,
+    analyze, assemble_report, auto_metric_graph, degenerate_partition, score_prefix,
+    ConvergencePoint, PipelineError, ReliabilityReport, TomographyReport,
 };
 use btt_cluster::louvain::LouvainScratch;
-use btt_cluster::modularity::modularity;
-use btt_cluster::nmi::nmi;
-use btt_cluster::onmi::onmi_partitions;
 use btt_cluster::partition::Partition;
-use btt_netsim::util::splitmix64;
 use btt_swarm::broadcast::{
     run_campaign_with_reliability, stream_campaign_with_reliability, BroadcastResult, Campaign,
     RootPolicy, RunObservation,
@@ -78,7 +73,7 @@ impl TomographySession {
             cfg: SwarmConfig::paper(),
             iterations,
             root_policy: RootPolicy::Fixed(0),
-            backend: Backend::Clustering(ClusteringAlgorithm::Louvain),
+            backend: Backend::default(),
             seed: 0x5EED,
             recluster_every: 1,
             threads: 0,
@@ -107,13 +102,6 @@ impl TomographySession {
     /// Sets the root (initial seed) policy.
     pub fn root_policy(mut self, p: RootPolicy) -> Self {
         self.root_policy = p;
-        self
-    }
-
-    /// Sets the phase-2 clustering algorithm (default Louvain). Sugar for
-    /// [`TomographySession::backend`] with [`Backend::Clustering`].
-    pub fn algorithm(mut self, a: ClusteringAlgorithm) -> Self {
-        self.backend = Backend::Clustering(a);
         self
     }
 
@@ -430,22 +418,14 @@ impl LiveSession {
         self.best.as_ref()
     }
 
-    /// Re-clusters the live graph after `k` observations, exactly as the
-    /// batch convergence series clusters prefix `k`: same graph policy,
-    /// same per-prefix seed, and `cluster_into` output is identical to
-    /// `cluster` for any scratch state.
+    /// Re-clusters the live graph after `k` observations through the batch
+    /// series' own per-prefix scorer, so the snapshot's point is the one
+    /// the batch series computes for prefix `k`.
     fn recluster(&mut self, k: u32) {
         let truth = &self.session.scenario.ground_truth;
         let g = auto_metric_graph(&self.acc);
-        let seed = splitmix64(self.session.seed ^ k as u64);
-        let p = self.session.backend.infer_into(&g, seed, &mut self.scratch);
-        let point = ConvergencePoint {
-            iterations: k,
-            onmi: onmi_partitions(&p, truth),
-            nmi: nmi(&p, truth),
-            clusters: p.num_clusters(),
-            modularity: modularity(&g, &p),
-        };
+        let (point, p) =
+            score_prefix(&g, k, self.session.backend, self.session.seed, truth, &mut self.scratch);
         self.points[k as usize - 1] = Some(point.clone());
         let reliability = ReliabilityReport::compute(
             &p,
@@ -468,65 +448,22 @@ impl LiveSession {
     /// configured — e.g. an aborted daemon job — as long as at least one
     /// observation arrived).
     ///
-    /// Convergence prefixes the cadence skipped are computed here by one
-    /// streaming replay of the stored runs — the identical pure
-    /// computation the batch series performs, so the finalized report is
+    /// Convergence prefixes the cadence skipped are scored here by the
+    /// batch pipeline's parallel series, and the report is assembled by the
+    /// same code as `analyze()`'s — so the finalized report is
     /// byte-identical to `analyze()` on the equivalent campaign.
-    pub fn finalize(mut self) -> Result<TomographyReport, PipelineError> {
-        if self.runs.is_empty() {
-            return Err(PipelineError::EmptyCampaign);
-        }
-        let n_runs = self.runs.len();
-        let backend = self.session.backend;
-        let seed = self.session.seed;
-        let truth = self.session.scenario.ground_truth.clone();
-        if self.points.iter().take(n_runs).any(Option::is_none) {
-            let mut acc = MetricAccumulator::new(self.acc.len());
-            for i in 0..n_runs {
-                let run = &self.runs[i];
-                acc.push_run_partial(&run.fragments, &run.participated());
-                if self.points[i].is_none() {
-                    let k = i + 1;
-                    let g = auto_metric_graph(&acc);
-                    let p = backend.infer_into(&g, splitmix64(seed ^ k as u64), &mut self.scratch);
-                    self.points[i] = Some(ConvergencePoint {
-                        iterations: k as u32,
-                        onmi: onmi_partitions(&p, &truth),
-                        nmi: nmi(&p, &truth),
-                        clusters: p.num_clusters(),
-                        modularity: modularity(&g, &p),
-                    });
-                }
-            }
-        }
-        let convergence: Vec<ConvergencePoint> =
-            self.points.into_iter().take(n_runs).map(|p| p.expect("all prefixes filled")).collect();
-        let g = auto_metric_graph(&self.acc);
-        let final_partition =
-            backend.infer_into(&g, splitmix64(seed ^ 0xFFFF_FFFF), &mut self.scratch);
-        let campaign = Campaign { runs: self.runs, metric: self.acc };
-        let reliability = ReliabilityReport::from_campaign(&campaign, &final_partition, &truth);
-        let degenerate = degenerate_partition(&final_partition);
-        let scenario = &self.session.scenario;
-        let diagnosis = inference_diagnosis(&g, &truth, &scenario.routes, &scenario.hosts);
-        Ok(TomographyReport {
-            scenario_id: scenario.id.clone(),
-            backend,
-            seed,
-            campaign,
-            convergence,
-            final_partition,
-            ground_truth: truth,
-            degenerate_partition: degenerate,
-            reliability,
-            diagnosis,
-        })
+    pub fn finalize(self) -> Result<TomographyReport, PipelineError> {
+        let LiveSession { session, runs, acc, mut points, .. } = self;
+        points.truncate(runs.len());
+        let campaign = Campaign { runs, metric: acc };
+        assemble_report(&session.scenario, campaign, points, session.backend, session.seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ClusteringAlgorithm;
 
     #[test]
     fn small_session_runs_end_to_end() {
@@ -655,11 +592,70 @@ mod tests {
     }
 
     #[test]
+    fn back_fill_crosses_chunk_windows_and_early_finalize_matches_analyze() {
+        // Cadence 5 over 70 observations leaves 56 prefixes empty, spread
+        // over three 32-prefix scoring windows, with every fifth one scored.
+        let scenario = crate::scenarios::ScenarioSpec::parse("star:2x3:0.2:3").unwrap().build();
+        let session =
+            TomographySession::over(scenario).iterations(70).pieces(16).seed(21).recluster_every(5);
+        let mut observations = Vec::new();
+        session.stream_into(0, &mut |obs| observations.push(obs));
+        assert_eq!(observations.len(), 70);
+        let campaign_of = |observed: &[RunObservation]| {
+            let runs: Vec<BroadcastResult> = observed.iter().map(|o| o.outcome.clone()).collect();
+            let mut metric = MetricAccumulator::new(session.scenario().num_hosts());
+            for run in &runs {
+                metric.push_run_partial(&run.fragments, &run.participated());
+            }
+            Campaign { runs, metric }
+        };
+        let live_over = |observed: &[RunObservation]| {
+            let mut live = session.live();
+            for obs in observed {
+                live.observe(obs.clone()).unwrap();
+            }
+            live.finalize().unwrap()
+        };
+
+        let streamed = live_over(&observations);
+        let truth = &session.scenario().ground_truth;
+        let batch = crate::pipeline::convergence_series(
+            &campaign_of(&observations),
+            truth,
+            session.backend,
+            session.seed,
+        );
+        assert_eq!(streamed.convergence, batch);
+
+        // Finalizing after 40 of the 70 observations is `analyze` over the
+        // first 40 runs, field for field.
+        let early = live_over(&observations[..40]);
+        let analyzed =
+            analyze(session.scenario(), campaign_of(&observations[..40]), session.backend, 21)
+                .unwrap();
+        assert_eq!(early.scenario_id, analyzed.scenario_id);
+        assert_eq!(early.backend, analyzed.backend);
+        assert_eq!(early.seed, analyzed.seed);
+        assert_eq!(early.campaign.metric, analyzed.campaign.metric);
+        assert_eq!(early.campaign.runs.len(), 40);
+        for (a, b) in early.campaign.runs.iter().zip(&analyzed.campaign.runs) {
+            assert_eq!(a.fragments, b.fragments);
+        }
+        assert_eq!(early.convergence.len(), 40);
+        assert_eq!(early.convergence, analyzed.convergence);
+        assert_eq!(early.final_partition, analyzed.final_partition);
+        assert_eq!(early.ground_truth, analyzed.ground_truth);
+        assert_eq!(early.degenerate_partition, analyzed.degenerate_partition);
+        assert_eq!(early.reliability, analyzed.reliability);
+        assert_eq!(early.diagnosis, analyzed.diagnosis);
+    }
+
+    #[test]
     fn builder_overrides_apply() {
         let s = TomographySession::new(Dataset::GT)
             .iterations(5)
             .pieces(128)
-            .algorithm(ClusteringAlgorithm::Infomap)
+            .backend(ClusteringAlgorithm::Infomap)
             .root_policy(btt_swarm::broadcast::RootPolicy::RoundRobin);
         assert_eq!(s.iterations, 5);
         assert_eq!(s.cfg.num_pieces, 128);

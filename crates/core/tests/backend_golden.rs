@@ -1,5 +1,5 @@
 //! Backend-refactor equivalence goldens: every `btt-report-v3` artifact,
-//! re-run through the [`btt_core::backend::ClusteringBackend`] adapter, is
+//! re-run through [`btt_core::backend::Backend`]'s dispatch, is
 //! byte-identical (modulo the v4 schema bump) to the pre-refactor path.
 //!
 //! The files under `tests/golden/backend/` were generated by the

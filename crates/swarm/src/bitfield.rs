@@ -2,7 +2,7 @@
 //!
 //! Backed by `u64` words so interest checks and piece selection work
 //! word-at-a-time (the per-piece loops are the hottest paths in the swarm).
-//! Files up to [`INLINE_WORDS`]` * 64` pieces — every bench preset and all
+//! Files up to `INLINE_WORDS * 64` pieces — every bench preset and all
 //! but the paper's full-scale 15259-fragment file — keep their words inline
 //! in the struct, so a swarm of a thousand peers holds its bitfields in two
 //! flat `Vec<Peer>` cache runs instead of two thousand 16-byte heap islands

@@ -96,24 +96,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Re-aggregates the metric over only the first `k` iterations — used to
-    /// study convergence vs iteration count (paper Fig. 13).
-    ///
-    /// Compatibility wrapper: each call re-streams the prefix from scratch,
-    /// so scoring every prefix `1..=n` through it costs O(n²) aggregations.
-    /// Convergence studies should instead keep one [`MetricAccumulator`]
-    /// and [`MetricAccumulator::push_run`] each run exactly once, snapshot
-    /// via [`MetricAccumulator::edges`] after every push (what
-    /// `btt_core::pipeline::convergence_series` does).
-    pub fn metric_after(&self, k: usize) -> MetricAccumulator {
-        let n = self.runs.first().map_or(0, |r| r.fragments.len());
-        let mut acc = MetricAccumulator::new(n);
-        for run in self.runs.iter().take(k) {
-            acc.push_run_partial(&run.fragments, &run.participated());
-        }
-        acc
-    }
-
     /// Sum of makespans: the total simulated measurement time the campaign
     /// cost (what the paper compares against probing methods).
     pub fn total_measurement_time(&self) -> f64 {
@@ -413,18 +395,6 @@ mod tests {
         let c = run_campaign(&routes, &hosts, &cfg(), 3, RootPolicy::Fixed(0), 5);
         assert_ne!(c.runs[0].fragments, c.runs[1].fragments, "runs must be stochastic");
         assert_ne!(c.runs[1].fragments, c.runs[2].fragments);
-    }
-
-    #[test]
-    fn metric_after_prefixes() {
-        let (routes, hosts) = star(4);
-        let c = run_campaign(&routes, &hosts, &cfg(), 5, RootPolicy::Fixed(0), 77);
-        let m2 = c.metric_after(2);
-        assert_eq!(m2.iterations(), 2);
-        let manual = (c.runs[0].fragments.edge(0, 1) + c.runs[1].fragments.edge(0, 1)) as f64 / 2.0;
-        assert!((m2.w(0, 1) - manual).abs() < 1e-9);
-        let mall = c.metric_after(99);
-        assert_eq!(mall.iterations(), 5, "prefix longer than runs clamps");
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl FragmentMatrix {
     /// O(log nnz) for a known pair, O(nnz) when a new pair is inserted —
     /// fine for the tests and small drivers that call it; the simulation
     /// hot path counts on per-neighbor state and bulk-loads via
-    /// [`FragmentMatrix::from_entries`] instead.
+    /// `FragmentMatrix::from_entries` instead.
     pub fn record(&mut self, src: usize, dst: usize) {
         debug_assert!(src != dst, "a peer cannot send to itself");
         let key = self.key(src, dst);

@@ -227,11 +227,11 @@ proptest! {
     }
 
     /// The streaming accumulator is prefix-equivalent to from-scratch
-    /// re-aggregation: pushing runs one at a time matches
-    /// `Campaign::metric_after(k)` — same floats, same sparse edge list —
-    /// at every prefix, on randomly shaped fragment matrices. This is the
-    /// invariant `convergence_series` relies on to aggregate each run
-    /// exactly once.
+    /// re-aggregation: pushing runs one at a time matches re-folding the
+    /// first `k` runs into a fresh accumulator — same floats, same sparse
+    /// edge list — at every prefix, on randomly shaped fragment matrices.
+    /// This is the invariant `convergence_series` relies on to aggregate
+    /// each run exactly once.
     #[test]
     fn streaming_accumulator_matches_every_prefix(
         n in 2usize..16,
@@ -280,7 +280,10 @@ proptest! {
         let mut streaming = MetricAccumulator::new(n);
         for (i, run) in campaign.runs.iter().enumerate() {
             streaming.push_run(&run.fragments);
-            let scratch = campaign.metric_after(i + 1);
+            let mut scratch = MetricAccumulator::new(n);
+            for prefix_run in &campaign.runs[..=i] {
+                scratch.push_run_partial(&prefix_run.fragments, &prefix_run.participated());
+            }
             prop_assert_eq!(&streaming, &scratch, "prefix {}", i + 1);
             prop_assert_eq!(streaming.edges(), scratch.edges());
             // And both match the dense definition of Eq. (2).

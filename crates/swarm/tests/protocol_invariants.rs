@@ -86,13 +86,20 @@ proptest! {
         // almost entirely from per-iteration tracker/choke randomness.
         let cfg = SwarmConfig { num_pieces: 96, ..SwarmConfig::default() };
         let campaign = run_campaign(&routes, &hosts, &cfg, 16, RootPolicy::RoundRobin, seed);
-        let observed = |k: usize| {
-            let acc = campaign.metric_after(k);
-            (0..n)
-                .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
-                .filter(|&(a, b)| acc.w(a, b) > 0.0)
-                .count()
-        };
+        // Pairs with a nonzero Eq. (2) weight after each iteration prefix.
+        let mut acc = MetricAccumulator::new(n);
+        let coverage: Vec<usize> = campaign
+            .runs
+            .iter()
+            .map(|run| {
+                acc.push_run_partial(&run.fragments, &run.participated());
+                (0..n)
+                    .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+                    .filter(|&(a, b)| acc.w(a, b) > 0.0)
+                    .count()
+            })
+            .collect();
+        let observed = |k: usize| coverage[k - 1];
         // Coverage is monotone in the iteration count...
         let mut prev = 0;
         for k in 1..=16 {

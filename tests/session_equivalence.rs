@@ -67,11 +67,11 @@ fn recluster_cadence_does_not_change_the_report() {
 /// Louvain draw — the session layer is algorithm-agnostic.
 #[test]
 fn streamed_session_matches_batch_across_seeds_and_algorithms() {
-    use bittorrent_tomography::core::pipeline::ClusteringAlgorithm;
+    use bittorrent_tomography::core::backend::ClusteringAlgorithm;
     for seed in [7u64, 99] {
         for algorithm in [ClusteringAlgorithm::Louvain, ClusteringAlgorithm::LabelPropagation] {
             let session =
-                session("wan:2x4:0.4", 64, 3, DriveMode::FixedStep).seed(seed).algorithm(algorithm);
+                session("wan:2x4:0.4", 64, 3, DriveMode::FixedStep).seed(seed).backend(algorithm);
             let batch = render(&session, false, 64);
             let streamed = render(&session, true, 64);
             assert_eq!(batch, streamed, "seed {seed}, {algorithm:?}");
