@@ -17,8 +17,7 @@
 //! artifacts, so CI can smoke-run the binary directly.
 
 use btt_bench::campaign::{
-    check_outputs, parse_backend_list, run_sweep, summary_table, write_engine_bench,
-    write_inference_bench, write_outputs, SweepSpec,
+    check_outputs, parse_backend_list, run_sweep, summary_table, write_outputs, SweepSpec,
 };
 use btt_bench::serve::{serve as start_daemon, ServeConfig};
 use btt_bench::stress::{run_stress, StressSpec};
@@ -47,6 +46,7 @@ usage: btt sweep [OPTIONS]
 
 Runs every (scenario, backend, seed) combination and writes one JSON
 record plus one convergence CSV per run, and a campaign summary.csv.
+Campaign timings come from the btt-benchmark package (benchmark/README.md).
 
 options:
   --scenarios <S,S,...>    scenario specs (default: 2x2,star:3x6:0.1:6,wan:3x4:0.2)
@@ -62,11 +62,6 @@ options:
                            (default: 0 = auto, 1 = serial; reports are
                            byte-identical for every value)
   --quick                  shrink to 3 iterations x 128 fragments
-  --bench                  also run the standardized engine + inference
-                           benchmarks, writing BENCH_engine.json and
-                           BENCH_inference.json (perf trajectory)
-  --bench-points <S,S,..>  restrict --bench to the named suite scenarios
-                           (e.g. fat-tree-1k; default: all points)
   --out <DIR>              artifact directory (default: out/campaign)
   -h, --help               show this help";
 
@@ -125,9 +120,12 @@ const CHECK_USAGE: &str = "\
 usage: btt check <DIR>
 
 Validates every campaign artifact in DIR: report JSONs must parse against
-the current schema, CSVs must be rectangular, and any BENCH_engine.json /
-BENCH_inference.json must carry their trajectory keys. Exits non-zero on
-the first invalid artifact, naming the offending file.
+the current schema and CSVs must be rectangular. Exits non-zero on the
+first invalid artifact, naming the offending file. Warns, without failing,
+on each report whose final partition is degenerate and on each report that
+finished with oNMI 0.0; the latter names the report's scenario, seed and
+separation ratio, and which backends in DIR scored zero or nonzero on the
+same campaign.
 
 options:
   -h, --help               show this help";
@@ -217,10 +215,7 @@ fn check(args: &[String]) -> ExitCode {
                 );
             }
             for warning in &summary.zero_onmi {
-                eprintln!(
-                    "warning: {dir}/{file}: finished with final_onmi == 0.0 -- {warning}",
-                    file = btt_bench::campaign::INFERENCE_BENCH_FILE,
-                );
+                eprintln!("warning: {warning}");
             }
             println!(
                 "ok: {} JSON record(s) and {} CSV file(s) parse cleanly",
@@ -444,8 +439,6 @@ fn sweep(args: &[String]) -> ExitCode {
     }
     let mut spec = SweepSpec::default_smoke();
     let mut out = PathBuf::from("out/campaign");
-    let mut bench = false;
-    let mut bench_points: Option<Vec<String>> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -510,21 +503,6 @@ fn sweep(args: &[String]) -> ExitCode {
                 spec.iterations = Some(3);
                 spec.pieces = 128;
             }
-            "--bench" => bench = true,
-            "--bench-points" => {
-                let Some(v) = value() else {
-                    return sweep_err("--bench-points needs a value".into());
-                };
-                let names: Vec<String> = v
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                if names.is_empty() {
-                    return sweep_err("--bench-points list is empty".into());
-                }
-                bench_points = Some(names);
-            }
             "--out" => {
                 let Some(v) = value() else {
                     return sweep_err("--out needs a value".into());
@@ -579,40 +557,11 @@ fn sweep(args: &[String]) -> ExitCode {
         Ok(paths) => {
             println!("\nwrote {} artifact(s) to {}/", paths.len(), out.display());
             println!("  summary: {}", paths.last().expect("summary path").display());
+            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("btt: writing artifacts failed: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    if bench {
-        let filter = bench_points.as_deref();
-        println!(
-            "\nengine benchmark ({} broadcast(s))...",
-            btt_bench::campaign::engine_bench_selected(filter)
-        );
-        let wall = std::time::Instant::now();
-        match write_engine_bench(&out, filter) {
-            Ok(Some(path)) => println!("  -> {} in {:.1?}", path.display(), wall.elapsed()),
-            Ok(None) => println!("  (no engine suite points selected, artifact skipped)"),
-            Err(e) => {
-                eprintln!("btt: engine benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!(
-            "inference benchmark ({} campaign(s))...",
-            btt_bench::campaign::inference_bench_selected(filter)
-        );
-        let wall = std::time::Instant::now();
-        match write_inference_bench(&out, filter) {
-            Ok(Some(path)) => println!("  -> {} in {:.1?}", path.display(), wall.elapsed()),
-            Ok(None) => println!("  (no inference suite points selected, artifact skipped)"),
-            Err(e) => {
-                eprintln!("btt: inference benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -5,7 +5,8 @@
 //! artifacts:
 //!
 //! * `<out>/<scenario>__<backend>__s<seed>.json` — one
-//!   [`ReportRecord`] per run (schema `btt-report-v1`);
+//!   [`ReportRecord`] per run (schema
+//!   [`btt_core::serialize::REPORT_SCHEMA`]);
 //! * `<out>/summary.csv` — one row per run, in deterministic
 //!   (scenario, backend, seed) order.
 //!
@@ -255,694 +256,6 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<ReportRecord> {
     records.into_iter().map(|r| r.expect("every run analyzed")).collect()
 }
 
-/// One scenario×size point of the standardized engine benchmark suite.
-#[derive(Debug, Clone)]
-pub struct EngineBenchPoint {
-    /// Scenario spec string (preset names allowed).
-    pub scenario: &'static str,
-    /// File size in 16 KiB fragments.
-    pub pieces: u32,
-    /// Fairness re-solve quantum override for the run (`None` = default).
-    pub rate_refresh: Option<f64>,
-    /// Wall-clock of the same broadcast on the pre-refactor fixed-step
-    /// engine (milliseconds), measured once at the event-engine PR on its
-    /// reference machine. `None` where no baseline was recorded. Absolute
-    /// values are machine-dependent; the recorded speedups are the
-    /// comparable quantity.
-    pub baseline_pre_refactor_ms: Option<f64>,
-}
-
-/// The standardized engine benchmark: per point, one warm-up broadcast then
-/// the fastest of [`ENGINE_BENCH_REPS`] timed repetitions, all at seed 2012
-/// with default protocol constants. The slow consumer-edge
-/// points are where the event calendar beats fixed stepping hardest (the
-/// old engine paid per 50 ms step *and* polled idle pairs every step); the
-/// fat-tree points pin that datacenter-speed swarms stay at parity.
-///
-/// `edge-2k` runs with a 0.5 s re-solve quantum: at a ~40 s makespan that
-/// staleness is around 1 %, and it is the documented fidelity/speed dial
-/// for 1000+ host simulations.
-pub const ENGINE_BENCH_SUITE: &[EngineBenchPoint] = &[
-    EngineBenchPoint {
-        scenario: "fat-tree-512",
-        pieces: 512,
-        rate_refresh: None,
-        baseline_pre_refactor_ms: Some(379.1),
-    },
-    EngineBenchPoint {
-        scenario: "fat-tree-1k",
-        pieces: 256,
-        rate_refresh: None,
-        baseline_pre_refactor_ms: Some(428.0),
-    },
-    EngineBenchPoint {
-        scenario: "wan-512",
-        pieces: 512,
-        rate_refresh: None,
-        baseline_pre_refactor_ms: Some(376.8),
-    },
-    EngineBenchPoint {
-        scenario: "edge-512",
-        pieces: 256,
-        rate_refresh: None,
-        baseline_pre_refactor_ms: Some(413.4),
-    },
-    EngineBenchPoint {
-        scenario: "edge-1k",
-        pieces: 256,
-        rate_refresh: None,
-        baseline_pre_refactor_ms: Some(1540.0),
-    },
-    EngineBenchPoint {
-        scenario: "edge-2k",
-        pieces: 64,
-        rate_refresh: Some(0.5),
-        baseline_pre_refactor_ms: Some(6600.0),
-    },
-];
-
-/// Master seed shared by every engine-bench broadcast.
-pub const ENGINE_BENCH_SEED: u64 = 2012;
-
-/// Timed repetitions per engine-bench point. Broadcasts are
-/// seed-deterministic — every rep produces identical fragments, events,
-/// and prof counters — so reps differ only in wall clock, and the minimum
-/// is the standard noise-floor statistic on a shared machine. A separate
-/// untimed warm-up rep absorbs one-off process costs (page-faulting fresh
-/// allocations, filling the per-thread scratch pools) that say nothing
-/// about the engine.
-pub const ENGINE_BENCH_REPS: usize = 5;
-
-/// Builds and times one engine-bench broadcast (the single shared
-/// implementation behind `BENCH_engine.json`, the `scale` experiment, and
-/// any future consumer — so every surface measures the same configuration).
-/// Returns `(outcome, wall_ms, hosts)`.
-pub fn run_bench_broadcast(
-    point: &EngineBenchPoint,
-    pieces: u32,
-) -> (btt_swarm::swarm::RunOutcome, f64, usize) {
-    use btt_swarm::broadcast::run_broadcast;
-    use std::time::Instant;
-
-    let spec = ScenarioSpec::parse(point.scenario).expect("suite scenarios parse");
-    let scenario = spec.build();
-    let cfg = SwarmConfig {
-        num_pieces: pieces,
-        rate_refresh: point.rate_refresh,
-        ..SwarmConfig::default()
-    };
-    let wall = Instant::now();
-    let out = run_broadcast(&scenario.routes, &scenario.hosts, 0, &cfg, ENGINE_BENCH_SEED);
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    (out, wall_ms, scenario.hosts.len())
-}
-
-/// Runs one point of the engine benchmark, returning the record as a JSON
-/// object (timings in milliseconds).
-fn run_engine_bench_point(point: &EngineBenchPoint) -> json::Json {
-    let spec = ScenarioSpec::parse(point.scenario).expect("suite scenarios parse");
-    let _warmup = run_bench_broadcast(point, point.pieces);
-    let (mut out, mut wall_ms, mut hosts) = run_bench_broadcast(point, point.pieces);
-    for _ in 1..ENGINE_BENCH_REPS {
-        let (o, w, h) = run_bench_broadcast(point, point.pieces);
-        if w < wall_ms {
-            (out, wall_ms, hosts) = (o, w, h);
-        }
-    }
-
-    let (baseline, speedup) = match point.baseline_pre_refactor_ms {
-        Some(b) => (json::Json::Float(b), json::Json::Float(b / wall_ms)),
-        None => (json::Json::Null, json::Json::Null),
-    };
-    let pr = out.prof;
-    let e = pr.engine;
-    // Phase wall times partition the drive loop: `advance_ms` is engine
-    // event advancement (with the fairness share split out as `solver_ms`),
-    // the rest is protocol work at the swarm layer. Counters give the
-    // denominators that make the timings comparable across machines.
-    let phases = json::Json::obj(vec![
-        ("advance_ms", json::Json::Float(e.advance_ms())),
-        ("solver_ms", json::Json::Float(e.solver_ms())),
-        ("service_ms", json::Json::Float(pr.service_ns as f64 / 1e6)),
-        ("haves_ms", json::Json::Float(pr.haves_ns as f64 / 1e6)),
-        ("rechoke_ms", json::Json::Float(pr.rechoke_ns as f64 / 1e6)),
-        (
-            "counters",
-            json::Json::obj(vec![
-                ("events_popped", json::Json::UInt(e.events_popped)),
-                ("stale_events", json::Json::UInt(e.stale_events)),
-                ("marks_fired", json::Json::UInt(e.marks_fired)),
-                ("flows_finished", json::Json::UInt(e.flows_finished)),
-                ("undershoot_rekeys", json::Json::UInt(e.undershoot_rekeys)),
-                ("refreshes", json::Json::UInt(e.refreshes)),
-                ("flows_started", json::Json::UInt(e.flows_started)),
-                ("solver_resolves", json::Json::UInt(e.solver.resolves)),
-                ("solver_components", json::Json::UInt(e.solver.components)),
-                ("solver_comp_flows", json::Json::UInt(e.solver.comp_flows)),
-                ("solver_comp_chans", json::Json::UInt(e.solver.comp_chans)),
-                ("solver_waterfill_rounds", json::Json::UInt(e.solver.waterfill_rounds)),
-                ("solver_parallel_resolves", json::Json::UInt(e.solver.parallel_resolves)),
-                ("rechoke_passes", json::Json::UInt(pr.rechoke_passes)),
-                ("service_calls", json::Json::UInt(pr.service_calls)),
-                ("piece_picks", json::Json::UInt(pr.piece_picks)),
-                ("have_announcements", json::Json::UInt(pr.have_announcements)),
-            ]),
-        ),
-    ]);
-    json::Json::obj(vec![
-        ("scenario", json::Json::Str(point.scenario.to_string())),
-        ("scenario_id", json::Json::Str(spec.id())),
-        ("hosts", json::Json::UInt(hosts as u64)),
-        ("pieces", json::Json::UInt(point.pieces as u64)),
-        ("seed", json::Json::UInt(ENGINE_BENCH_SEED)),
-        (
-            "rate_refresh_s",
-            match point.rate_refresh {
-                Some(q) => json::Json::Float(q),
-                None => json::Json::Null,
-            },
-        ),
-        ("wall_ms", json::Json::Float(wall_ms)),
-        ("makespan_sim_s", json::Json::Float(out.makespan)),
-        ("fragments", json::Json::UInt(out.fragments.total())),
-        ("events", json::Json::UInt(out.sim_steps as u64)),
-        ("finished", json::Json::Bool(out.finished)),
-        ("baseline_pre_refactor_ms", baseline),
-        ("speedup_vs_pre_refactor", speedup),
-        ("phases", phases),
-    ])
-}
-
-/// True when `scenario` passes a `--bench-points` filter (`None` or empty
-/// = every point).
-fn bench_point_selected(scenario: &str, filter: Option<&[String]>) -> bool {
-    match filter {
-        None | Some([]) => true,
-        Some(names) => names.iter().any(|n| n.eq_ignore_ascii_case(scenario)),
-    }
-}
-
-/// Runs the engine benchmark suite — optionally restricted to the named
-/// points (`--bench-points`) — and renders the `BENCH_engine.json`
-/// document (schema `btt-engine-bench-v2`).
-///
-/// Wall-clock numbers are machine-dependent; the file exists so every PR
-/// from the event-engine refactor onward leaves a machine-readable point on
-/// the perf trajectory, and so the recorded pre-refactor baselines keep the
-/// refactor's speedup auditable. v2 adds the per-run `phases` breakdown
-/// (always-on `netsim::prof` attribution), so the artifact records *where*
-/// each run's time went, not just how much.
-pub fn engine_bench_json(filter: Option<&[String]>) -> json::Json {
-    json::Json::obj(vec![
-        ("schema", json::Json::Str("btt-engine-bench-v2".to_string())),
-        ("seed", json::Json::UInt(ENGINE_BENCH_SEED)),
-        (
-            "note",
-            json::Json::Str(
-                "per point: one warm-up broadcast, then fastest of 5 timed repetitions \
-                 (seed-deterministic, so reps differ only in wall clock); default \
-                 protocol constants; baselines measured once on the pre-refactor \
-                 fixed-step engine"
-                    .to_string(),
-            ),
-        ),
-        (
-            "runs",
-            json::Json::Array(
-                ENGINE_BENCH_SUITE
-                    .iter()
-                    .filter(|p| bench_point_selected(p.scenario, filter))
-                    .map(run_engine_bench_point)
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Name of the engine benchmark artifact.
-pub const BENCH_FILE: &str = "BENCH_engine.json";
-
-/// Number of [`ENGINE_BENCH_SUITE`] points passing `filter`.
-pub fn engine_bench_selected(filter: Option<&[String]>) -> usize {
-    ENGINE_BENCH_SUITE.iter().filter(|p| bench_point_selected(p.scenario, filter)).count()
-}
-
-/// Runs the (optionally filtered) engine benchmark and writes
-/// `BENCH_engine.json` under `out`. Returns `None` — writing nothing —
-/// when the filter selects no suite points: an artifact with an empty
-/// `runs` array would be rejected by `btt check`.
-pub fn write_engine_bench(out: &Path, filter: Option<&[String]>) -> io::Result<Option<PathBuf>> {
-    if engine_bench_selected(filter) == 0 {
-        return Ok(None);
-    }
-    fs::create_dir_all(out)?;
-    let path = out.join(BENCH_FILE);
-    fs::write(&path, engine_bench_json(filter).render_pretty())?;
-    Ok(Some(path))
-}
-
-/// One point of the standardized phase-2 (inference) benchmark: a full
-/// measurement campaign on a scale preset, then the streaming + parallel
-/// convergence series over every iteration prefix.
-#[derive(Debug, Clone)]
-pub struct InferenceBenchPoint {
-    /// Scenario spec string (preset names allowed).
-    pub scenario: &'static str,
-    /// File size in 16 KiB fragments.
-    pub pieces: u32,
-    /// Broadcast iterations — and therefore convergence-series prefixes.
-    pub iterations: u32,
-    /// Wall-clock of the same convergence series on the pre-refactor
-    /// serial path (O(n²) re-aggregation and a dense Louvain per prefix),
-    /// in milliseconds, measured once at the streaming-inference PR on its
-    /// reference machine. Absolute values are machine-dependent; the
-    /// recorded speedups are the comparable quantity.
-    pub baseline_serial_ms: Option<f64>,
-    /// Worker threads for the phase-1 measurement campaign
-    /// (`TomographySession::threads`). The campaign pool's in-order reorder
-    /// buffer makes the fold byte-identical to the serial schedule, so this
-    /// changes wall-clock only, never results.
-    pub measure_threads: usize,
-    /// Wall-clock of the same measurement campaign on the pre-parallel
-    /// serial engine, in milliseconds, measured once at the parallel-
-    /// measurement PR on its reference machine. Same caveat as
-    /// `baseline_serial_ms`: absolute values are machine-dependent, the
-    /// recorded speedups are the comparable quantity.
-    pub measure_serial_ms: Option<f64>,
-}
-
-/// The standardized inference benchmark: the paper's Fig.-13 convergence
-/// study at 1000+ hosts. `fat-tree-1k` at 100 iterations is the headline
-/// point (the acceptance gate for the streaming refactor); `wan-1k` and
-/// `edge-2k` pin the other scale presets at shallower series,
-/// `edge-2k-wide` pins the recovery control where both backend families
-/// return nonzero accuracy, and `fat-tree-4k` is a deliberately shallow
-/// 4096-host point proving the parallel measurement path completes at 4x
-/// the headline scale -- all sized so the suite stays inside the CI smoke
-/// budget.
-pub const INFERENCE_BENCH_SUITE: &[InferenceBenchPoint] = &[
-    InferenceBenchPoint {
-        scenario: "fat-tree-1k",
-        pieces: 128,
-        iterations: 100,
-        baseline_serial_ms: Some(28156.0),
-        measure_threads: 4,
-        measure_serial_ms: Some(34006.0),
-    },
-    InferenceBenchPoint {
-        scenario: "wan-1k",
-        pieces: 128,
-        iterations: 50,
-        baseline_serial_ms: Some(7699.0),
-        measure_threads: 4,
-        measure_serial_ms: None,
-    },
-    InferenceBenchPoint {
-        scenario: "edge-2k",
-        pieces: 64,
-        iterations: 10,
-        baseline_serial_ms: Some(1783.0),
-        measure_threads: 4,
-        measure_serial_ms: None,
-    },
-    // edge-2k's recovery control (same 2048 hosts and 2 Mb/s access tier,
-    // 16 sites of 128): both backend families come back nonzero here,
-    // pinning the edge-2k zero on cluster-size identifiability.
-    InferenceBenchPoint {
-        scenario: "edge-2k-wide",
-        pieces: 128,
-        iterations: 8,
-        baseline_serial_ms: None,
-        measure_threads: 4,
-        measure_serial_ms: None,
-    },
-    InferenceBenchPoint {
-        scenario: "fat-tree-4k",
-        pieces: 32,
-        iterations: 5,
-        baseline_serial_ms: None,
-        measure_threads: 4,
-        measure_serial_ms: None,
-    },
-];
-
-/// Master seed shared by every inference-bench campaign.
-pub const INFERENCE_BENCH_SEED: u64 = 2012;
-
-/// Name of the inference benchmark artifact.
-pub const INFERENCE_BENCH_FILE: &str = "BENCH_inference.json";
-
-/// The backends compared head-to-head in every inference-bench record's
-/// `backends` block: the headline clustering backend and the additive-
-/// metrics backend. Their agreement (or disagreement) on a zero-oNMI
-/// scenario is the first diagnostic `btt check` reports.
-pub const INFERENCE_BENCH_BACKENDS: [Backend; 2] =
-    [Backend::Clustering(ClusteringAlgorithm::Louvain), Backend::Additive];
-
-/// Runs one inference-bench point: measure the campaign, time the
-/// streaming aggregation and parallel clustering separately, then run every
-/// [`INFERENCE_BENCH_BACKENDS`] entry over the final snapshot graph for the
-/// per-backend accuracy/cost block. Returns the record as a JSON object
-/// (timings in milliseconds).
-pub fn run_inference_bench_point(point: &InferenceBenchPoint) -> json::Json {
-    use btt_cluster::onmi::onmi_partitions;
-    use btt_core::diagnosis::metric_separation;
-    use btt_core::pipeline::{auto_metric_graph, convergence_series_timed, SPARSE_NODE_THRESHOLD};
-    use btt_netsim::util::splitmix64;
-    use std::time::Instant;
-
-    let spec = ScenarioSpec::parse(point.scenario).expect("suite scenarios parse");
-    let session = TomographySession::over(spec.build())
-        .pieces(point.pieces)
-        .iterations(point.iterations)
-        .seed(INFERENCE_BENCH_SEED)
-        .threads(point.measure_threads);
-    let hosts = session.scenario().num_hosts();
-
-    let wall = Instant::now();
-    let campaign = session.measure();
-    let measure_ms = wall.elapsed().as_secs_f64() * 1e3;
-
-    let (points, timing) = convergence_series_timed(
-        &campaign,
-        &session.scenario().ground_truth,
-        ClusteringAlgorithm::Louvain,
-        INFERENCE_BENCH_SEED,
-    );
-    let last = points.last().expect("at least one iteration");
-
-    // Per-backend accuracy/cost block: every backend infers from the same
-    // final snapshot graph with the pipeline's final-partition seed, so each
-    // entry is exactly the partition a full session with that backend would
-    // report. The separation ratio (mean intra-truth / inter-truth pair
-    // weight) is a property of the graph, shared by all backends.
-    let truth = &session.scenario().ground_truth;
-    let g = auto_metric_graph(&campaign.metric);
-    let (_, _, separation_ratio) = metric_separation(&g, truth);
-    let backends: Vec<json::Json> = INFERENCE_BENCH_BACKENDS
-        .iter()
-        .map(|b| {
-            let wall = Instant::now();
-            let p = b.infer(&g, splitmix64(INFERENCE_BENCH_SEED ^ 0xFFFF_FFFF));
-            let infer_ms = wall.elapsed().as_secs_f64() * 1e3;
-            json::Json::obj(vec![
-                ("backend", json::Json::Str(b.name().to_string())),
-                ("final_onmi", json::Json::Float(onmi_partitions(&p, truth))),
-                ("final_clusters", json::Json::UInt(p.num_clusters() as u64)),
-                ("infer_ms", json::Json::Float(infer_ms)),
-            ])
-        })
-        .collect();
-
-    let (baseline, speedup) = match point.baseline_serial_ms {
-        Some(b) => (json::Json::Float(b), json::Json::Float(b / timing.total_ms())),
-        None => (json::Json::Null, json::Json::Null),
-    };
-    // A typed `null` where no serial baseline (or no separation ratio) was
-    // recorded. These fields used to mix types in one array — `"n/a"`
-    // strings next to floats — which broke numeric consumers; `btt check`
-    // now rejects that old encoding.
-    let measure_speedup = match point.measure_serial_ms {
-        Some(b) => json::Json::Float(b / measure_ms),
-        None => json::Json::Null,
-    };
-    json::Json::obj(vec![
-        ("scenario", json::Json::Str(point.scenario.to_string())),
-        ("scenario_id", json::Json::Str(spec.id())),
-        ("hosts", json::Json::UInt(hosts as u64)),
-        ("pieces", json::Json::UInt(point.pieces as u64)),
-        ("iterations", json::Json::UInt(point.iterations as u64)),
-        ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-        ("measure_wall_ms", json::Json::Float(measure_ms)),
-        ("measure_threads", json::Json::UInt(point.measure_threads as u64)),
-        ("measure_speedup", measure_speedup),
-        ("aggregate_ms", json::Json::Float(timing.aggregate_ms)),
-        ("cluster_ms", json::Json::Float(timing.cluster_ms)),
-        ("inference_wall_ms", json::Json::Float(timing.total_ms())),
-        ("metric_nnz_edges", json::Json::UInt(campaign.metric.num_nonzero_edges() as u64)),
-        ("pruned", json::Json::Bool(hosts >= SPARSE_NODE_THRESHOLD)),
-        ("final_onmi", json::Json::Float(last.onmi)),
-        ("final_clusters", json::Json::UInt(last.clusters as u64)),
-        ("separation_ratio", separation_ratio.map_or(json::Json::Null, json::Json::Float)),
-        ("backends", json::Json::Array(backends)),
-        // `measure()` returning means every iteration ran to completion;
-        // `btt check` uses this to tell "campaign finished but inference
-        // found nothing" (a warning) from a merely truncated artifact.
-        ("finished", json::Json::Bool(true)),
-        ("baseline_serial_ms", baseline),
-        ("speedup_vs_serial", speedup),
-    ])
-}
-
-/// Schema marker of `BENCH_inference.json`. v2 (backend-refactor PR) added
-/// the per-backend accuracy/cost `backends` block and `separation_ratio`
-/// per run. `measure_speedup` and `separation_ratio` are each a float or a
-/// typed `null` — the short-lived mixed encoding (`"n/a"` strings next to
-/// floats) is rejected by `btt check`.
-pub const INFERENCE_BENCH_SCHEMA: &str = "btt-inference-bench-v2";
-
-/// Renders the `BENCH_inference.json` document (schema
-/// [`INFERENCE_BENCH_SCHEMA`]) for the suite points passing `filter`.
-pub fn inference_bench_json(filter: Option<&[String]>) -> json::Json {
-    json::Json::obj(vec![
-        ("schema", json::Json::Str(INFERENCE_BENCH_SCHEMA.to_string())),
-        ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-        (
-            "note",
-            json::Json::Str(
-                "full measurement campaign (measure_threads workers, fold \
-                 byte-identical to serial) + convergence series per point; \
-                 phase-2 timings split into streaming aggregation and parallel \
-                 clustering; per-backend block infers from the final snapshot \
-                 graph; baseline_serial_ms / measure_serial_ms measured \
-                 once on the pre-refactor serial inference / pre-parallel \
-                 measurement paths"
-                    .to_string(),
-            ),
-        ),
-        (
-            "runs",
-            json::Json::Array(
-                INFERENCE_BENCH_SUITE
-                    .iter()
-                    .filter(|p| bench_point_selected(p.scenario, filter))
-                    .map(run_inference_bench_point)
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Number of [`INFERENCE_BENCH_SUITE`] points passing `filter`.
-pub fn inference_bench_selected(filter: Option<&[String]>) -> usize {
-    INFERENCE_BENCH_SUITE.iter().filter(|p| bench_point_selected(p.scenario, filter)).count()
-}
-
-/// Runs the (optionally filtered) inference benchmark and writes
-/// `BENCH_inference.json` under `out`. Returns `None` — writing nothing —
-/// when the filter selects no suite points: an artifact with an empty
-/// `runs` array would be rejected by `btt check`.
-pub fn write_inference_bench(out: &Path, filter: Option<&[String]>) -> io::Result<Option<PathBuf>> {
-    if inference_bench_selected(filter) == 0 {
-        return Ok(None);
-    }
-    fs::create_dir_all(out)?;
-    let path = out.join(INFERENCE_BENCH_FILE);
-    fs::write(&path, inference_bench_json(filter).render_pretty())?;
-    Ok(Some(path))
-}
-
-/// One promoted `zero_onmi` warning: a finished inference-bench run whose
-/// headline clustering path scored `final_onmi == 0.0`, annotated with the
-/// per-backend diagnostics the v2 records carry — which backends also found
-/// nothing, which recovered structure, and how much intra/inter metric
-/// contrast the snapshot graph held. The oNMI-0 story is readable from the
-/// artifact alone: nonzero backends ⇒ a clustering-side limit; all-zero
-/// with a separation ratio near 1 ⇒ the measurements carry no contrast.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZeroOnmiWarning {
-    /// The run's scenario name.
-    pub scenario: String,
-    /// Backends that also scored oNMI 0.0 on the final snapshot graph.
-    pub zero_backends: Vec<String>,
-    /// Backends that recovered nonzero structure.
-    pub nonzero_backends: Vec<String>,
-    /// The run's `separation_ratio` (`None` when recorded as `null`).
-    pub separation_ratio: Option<f64>,
-}
-
-impl std::fmt::Display for ZeroOnmiWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: ", self.scenario)?;
-        if self.nonzero_backends.is_empty() {
-            write!(f, "all backends agree (oNMI 0: {})", self.zero_backends.join(", "))?;
-        } else {
-            write!(
-                f,
-                "backends disagree (oNMI 0: {}; nonzero: {})",
-                self.zero_backends.join(", "),
-                self.nonzero_backends.join(", ")
-            )?;
-        }
-        match self.separation_ratio {
-            Some(r) => write!(f, "; separation ratio {}", json::fmt_f64(r)),
-            None => write!(f, "; separation ratio n/a"),
-        }
-    }
-}
-
-/// What [`check_inference_bench`] found in a structurally valid document:
-/// the run count, plus one [`ZeroOnmiWarning`] per run whose campaign
-/// `finished` yet scored `final_onmi == 0.0`. Such a record parses fine —
-/// but a completed campaign whose inference recovered *no* structure needs
-/// explaining, so `btt check` surfaces each with its per-backend
-/// diagnostics rather than silently passing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferenceBenchCheck {
-    /// Number of runs in the document.
-    pub runs: usize,
-    /// Warnings for finished runs with `final_onmi == 0.0`. Runs without a
-    /// `finished` flag or with `finished: false` are never flagged: an
-    /// unfinished campaign scoring zero is expected.
-    pub zero_onmi: Vec<ZeroOnmiWarning>,
-}
-
-/// Validates a `BENCH_inference.json` document: schema marker, a non-empty
-/// `runs` array carrying the trajectory keys, a `measure_speedup` that is a
-/// positive number or a typed `null`, a `separation_ratio` that is a number
-/// or a typed `null` (the old mixed `"n/a"`-string encoding is rejected for
-/// both), and a non-empty per-backend block per run. Returns the
-/// [`InferenceBenchCheck`] diagnostics on success.
-pub fn check_inference_bench(text: &str) -> Result<InferenceBenchCheck, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = doc.get("schema").and_then(json::Json::as_str);
-    if schema != Some(INFERENCE_BENCH_SCHEMA) {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let runs = doc.get("runs").and_then(json::Json::as_array).ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("empty runs array".into());
-    }
-    let mut zero_onmi = Vec::new();
-    for (i, run) in runs.iter().enumerate() {
-        for key in [
-            "scenario",
-            "hosts",
-            "iterations",
-            "seed",
-            "measure_threads",
-            "aggregate_ms",
-            "cluster_ms",
-            "inference_wall_ms",
-            "final_onmi",
-            "measure_speedup",
-            "separation_ratio",
-            "backends",
-        ] {
-            if run.get(key).is_none() {
-                return Err(format!("run {i} missing key {key:?}"));
-            }
-        }
-        // A missing baseline is a typed `null`; the old mixed encoding
-        // (`"n/a"` strings next to floats in one array) and nonsense
-        // numbers are corrupt artifacts, not passes.
-        match run.get("measure_speedup") {
-            Some(json::Json::Float(s)) if s.is_finite() && *s > 0.0 => {}
-            Some(json::Json::Null) => {}
-            other => {
-                return Err(format!(
-                    "run {i} measure_speedup must be a positive number or null \
-                     (the old \"n/a\" string encoding is invalid), got {:?}",
-                    other.map(|v| v.render())
-                ));
-            }
-        }
-        match run.get("separation_ratio") {
-            Some(json::Json::Float(_) | json::Json::Null) => {}
-            other => {
-                return Err(format!(
-                    "run {i} separation_ratio must be a number or null \
-                     (the old \"n/a\" string encoding is invalid), got {:?}",
-                    other.map(|v| v.render())
-                ));
-            }
-        }
-        let backends = run
-            .get("backends")
-            .and_then(json::Json::as_array)
-            .ok_or("backends must be an array")?;
-        if backends.is_empty() {
-            return Err(format!("run {i} has an empty backends array"));
-        }
-        let mut zero_backends = Vec::new();
-        let mut nonzero_backends = Vec::new();
-        for (j, entry) in backends.iter().enumerate() {
-            for key in ["backend", "final_onmi", "final_clusters", "infer_ms"] {
-                if entry.get(key).is_none() {
-                    return Err(format!("run {i} backend {j} missing key {key:?}"));
-                }
-            }
-            let name = entry.get("backend").and_then(json::Json::as_str).unwrap_or("?").to_string();
-            match entry.get("final_onmi").and_then(json::Json::as_f64) {
-                Some(0.0) => zero_backends.push(name),
-                _ => nonzero_backends.push(name),
-            }
-        }
-        let finished = run.get("finished").and_then(json::Json::as_bool) == Some(true);
-        let onmi = run.get("final_onmi").and_then(json::Json::as_f64);
-        if finished && onmi == Some(0.0) {
-            let scenario = run.get("scenario").and_then(json::Json::as_str).unwrap_or("?");
-            zero_onmi.push(ZeroOnmiWarning {
-                scenario: scenario.to_string(),
-                zero_backends,
-                nonzero_backends,
-                separation_ratio: run.get("separation_ratio").and_then(json::Json::as_f64),
-            });
-        }
-    }
-    Ok(InferenceBenchCheck { runs: runs.len(), zero_onmi })
-}
-
-/// Validates a `BENCH_engine.json` document: schema marker (v2) plus a
-/// non-empty `runs` array whose entries carry the trajectory keys and the
-/// per-run `phases` attribution block (phase wall times + hot-path
-/// counters) that v2 introduced.
-pub fn check_engine_bench(text: &str) -> Result<usize, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = doc.get("schema").and_then(json::Json::as_str);
-    if schema != Some("btt-engine-bench-v2") {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let runs = doc.get("runs").and_then(json::Json::as_array).ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("empty runs array".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        for key in ["scenario", "hosts", "pieces", "seed", "wall_ms", "makespan_sim_s"] {
-            if run.get(key).is_none() {
-                return Err(format!("run {i} missing key {key:?}"));
-            }
-        }
-        let phases = run.get("phases").ok_or_else(|| format!("run {i} missing key \"phases\""))?;
-        for key in ["advance_ms", "solver_ms", "service_ms", "haves_ms", "rechoke_ms"] {
-            match phases.get(key).and_then(json::Json::as_f64) {
-                Some(v) if v >= 0.0 => {}
-                _ => {
-                    return Err(format!("run {i} phases.{key} must be a non-negative number"));
-                }
-            }
-        }
-        let counters =
-            phases.get("counters").ok_or_else(|| format!("run {i} phases missing \"counters\""))?;
-        for key in ["events_popped", "marks_fired", "solver_resolves", "piece_picks"] {
-            if counters.get(key).is_none() {
-                return Err(format!("run {i} phases.counters missing key {key:?}"));
-            }
-        }
-    }
-    Ok(runs.len())
-}
-
 /// Header of `summary.csv`, in column order. The four reliability columns
 /// (`hosts_lost` onward) carry the failure-tolerance trajectory: zero
 /// losses / full coverage on static campaigns, and the accuracy-vs-failure
@@ -1105,11 +418,95 @@ impl CheckError {
     }
 }
 
+/// A report that finished with `final_onmi == 0.0`, annotated with what
+/// the other reports in its directory scored on the same measurement
+/// campaign (same scenario, seed, pieces and iteration count): which
+/// backends also found nothing, which recovered structure, and how much
+/// intra/inter metric contrast the measurement held. Nonzero backends ⇒ a
+/// clustering-side limit; all-zero with a separation ratio near 1 ⇒ the
+/// measurements carry no contrast.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ZeroOnmiWarning {
+    /// The report file that scored zero.
+    pub path: PathBuf,
+    /// The report's scenario id.
+    pub scenario: String,
+    /// The report's master seed.
+    pub seed: u64,
+    /// Backends that scored oNMI 0.0 on the campaign, this report's own
+    /// included, in file-name order.
+    pub zero_backends: Vec<String>,
+    /// Backends that recovered nonzero structure on the campaign.
+    pub nonzero_backends: Vec<String>,
+    /// The report's `diagnosis.separation_ratio` (`None` when `null`).
+    pub separation_ratio: Option<f64>,
+}
+
+impl std::fmt::Display for ZeroOnmiWarning {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: {} seed {} finished with final_onmi == 0.0 -- ",
+            self.path.display(),
+            self.scenario,
+            self.seed
+        )?;
+        if self.nonzero_backends.is_empty() {
+            write!(f, "all backends agree (oNMI 0: {})", self.zero_backends.join(", "))?;
+        } else {
+            write!(
+                f,
+                "backends disagree (oNMI 0: {}; nonzero: {})",
+                self.zero_backends.join(", "),
+                self.nonzero_backends.join(", ")
+            )?;
+        }
+        match self.separation_ratio {
+            Some(r) => write!(f, "; separation ratio {}", json::fmt_f64(r)),
+            None => write!(f, "; separation ratio n/a"),
+        }
+    }
+}
+
+/// One [`ZeroOnmiWarning`] per report in `reports` with
+/// `final_onmi == 0.0`, in input order.
+fn zero_onmi_warnings(reports: &[(PathBuf, ReportRecord)]) -> Vec<ZeroOnmiWarning> {
+    let scored_zero = |r: &ReportRecord| r.final_onmi() == 0.0;
+    reports
+        .iter()
+        .filter(|(_, r)| scored_zero(r))
+        .map(|(path, r)| {
+            let (mut zero_backends, mut nonzero_backends) = (Vec::new(), Vec::new());
+            let same_campaign = reports.iter().map(|(_, o)| o).filter(|o| {
+                o.scenario_id == r.scenario_id
+                    && o.seed == r.seed
+                    && o.pieces == r.pieces
+                    && o.convergence.len() == r.convergence.len()
+            });
+            for other in same_campaign {
+                let list =
+                    if scored_zero(other) { &mut zero_backends } else { &mut nonzero_backends };
+                if !list.contains(&other.algorithm) {
+                    list.push(other.algorithm.clone());
+                }
+            }
+            ZeroOnmiWarning {
+                path: path.clone(),
+                scenario: r.scenario_id.clone(),
+                seed: r.seed,
+                zero_backends,
+                nonzero_backends,
+                separation_ratio: r.diagnosis.separation_ratio,
+            }
+        })
+        .collect()
+}
+
 /// What `btt check` found in a valid artifact directory: artifact counts
 /// plus diagnostics that are worth a warning but not a failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckSummary {
-    /// Valid report/bench JSON documents.
+    /// Valid report JSON documents.
     pub jsons: usize,
     /// Valid CSV artifacts.
     pub csvs: usize,
@@ -1117,10 +514,9 @@ pub struct CheckSummary {
     /// (all-one-cluster / all-singletons) — valid artifacts, but the run
     /// found no structure at all; `btt check` surfaces each as a warning.
     pub degenerate: Vec<PathBuf>,
-    /// Inference-bench runs that finished with `final_onmi == 0.0`,
-    /// annotated with per-backend agreement and the separation ratio (see
-    /// [`InferenceBenchCheck::zero_onmi`]); surfaced as warnings like
-    /// `degenerate`.
+    /// Reports that finished with `final_onmi == 0.0`, annotated with
+    /// per-backend agreement and the separation ratio; surfaced as
+    /// warnings like `degenerate`.
     pub zero_onmi: Vec<ZeroOnmiWarning>,
 }
 
@@ -1129,8 +525,8 @@ pub struct CheckSummary {
 /// with consistent column counts. Only files matching the campaign naming
 /// patterns are examined — unrelated files sharing the extensions are
 /// ignored, consistent with [`write_outputs`] preserving them. Returns the
-/// [`CheckSummary`] (counts + degenerate-report diagnostics) or the first
-/// failure, which always names the offending file.
+/// [`CheckSummary`] (counts + degenerate and zero-oNMI diagnostics) or the
+/// first failure, which always names the offending file.
 pub fn check_outputs(dir: &Path) -> Result<CheckSummary, CheckError> {
     let read = |path: &Path| {
         fs::read_to_string(path)
@@ -1144,8 +540,8 @@ pub fn check_outputs(dir: &Path) -> Result<CheckSummary, CheckError> {
         .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(is_campaign_artifact))
         .collect();
     entries.sort();
-    let (mut jsons, mut csvs) = (0usize, 0usize);
-    let mut degenerate = Vec::new();
+    let mut csvs = 0usize;
+    let mut reports = Vec::new();
     for path in entries {
         match path.extension().and_then(|e| e.to_str()) {
             Some("json") => {
@@ -1153,10 +549,7 @@ pub fn check_outputs(dir: &Path) -> Result<CheckSummary, CheckError> {
                 let value = json::parse(&text).map_err(|e| invalid(&path, e.to_string()))?;
                 let record =
                     ReportRecord::from_json(&value).map_err(|e| invalid(&path, e.to_string()))?;
-                if record.degenerate_partition {
-                    degenerate.push(path.clone());
-                }
-                jsons += 1;
+                reports.push((path, record));
             }
             Some("csv") => {
                 let text = read(&path)?;
@@ -1173,27 +566,19 @@ pub fn check_outputs(dir: &Path) -> Result<CheckSummary, CheckError> {
             _ => {}
         }
     }
-    // The engine and inference benchmarks ride along when present (written
-    // by `btt sweep --bench`): validate their schemas and trajectory keys
-    // too.
-    let bench_path = dir.join(BENCH_FILE);
-    if bench_path.exists() {
-        let text = read(&bench_path)?;
-        check_engine_bench(&text).map_err(|e| invalid(&bench_path, e))?;
-        jsons += 1;
-    }
-    let inference_path = dir.join(INFERENCE_BENCH_FILE);
-    let mut zero_onmi = Vec::new();
-    if inference_path.exists() {
-        let text = read(&inference_path)?;
-        let chk = check_inference_bench(&text).map_err(|e| invalid(&inference_path, e))?;
-        zero_onmi = chk.zero_onmi;
-        jsons += 1;
-    }
-    if jsons == 0 && csvs == 0 {
+    if reports.is_empty() && csvs == 0 {
         return Err(CheckError::NoArtifacts { dir: dir.to_path_buf() });
     }
-    Ok(CheckSummary { jsons, csvs, degenerate, zero_onmi })
+    Ok(CheckSummary {
+        jsons: reports.len(),
+        csvs,
+        degenerate: reports
+            .iter()
+            .filter(|(_, r)| r.degenerate_partition)
+            .map(|(path, _)| path.clone())
+            .collect(),
+        zero_onmi: zero_onmi_warnings(&reports),
+    })
 }
 
 /// Renders the paper-style fixed-width summary table for stdout.
@@ -1394,198 +779,93 @@ mod tests {
     }
 
     #[test]
-    fn inference_bench_point_runs_and_validates() {
-        // A miniature point exercises the exact code path the scale suite
-        // uses, in milliseconds instead of minutes.
-        let point = InferenceBenchPoint {
-            scenario: "star:3x6:0.1:6",
-            pieces: 48,
-            iterations: 3,
-            baseline_serial_ms: Some(100.0),
-            measure_threads: 2,
-            measure_serial_ms: Some(100.0),
-        };
-        let record = run_inference_bench_point(&point);
-        assert_eq!(record.get("hosts").and_then(json::Json::as_u64), Some(24));
-        assert_eq!(record.get("iterations").and_then(json::Json::as_u64), Some(3));
-        assert_eq!(record.get("pruned"), Some(&json::Json::Bool(false)));
-        assert!(record.get("aggregate_ms").is_some());
-        assert!(record.get("speedup_vs_serial").is_some());
-        assert_eq!(record.get("measure_threads").and_then(json::Json::as_u64), Some(2));
-        assert!(record.get("measure_speedup").and_then(json::Json::as_f64).is_some());
-        assert_eq!(record.get("finished"), Some(&json::Json::Bool(true)));
-        // The per-backend block carries one entry per suite backend, each
-        // with its accuracy/cost columns.
-        let backends = record.get("backends").and_then(json::Json::as_array).unwrap();
-        assert_eq!(backends.len(), INFERENCE_BENCH_BACKENDS.len());
-        for (entry, b) in backends.iter().zip(INFERENCE_BENCH_BACKENDS) {
-            assert_eq!(entry.get("backend").and_then(json::Json::as_str), Some(b.name()));
-            assert!(entry.get("final_onmi").and_then(json::Json::as_f64).is_some());
-            assert!(entry.get("infer_ms").and_then(json::Json::as_f64).is_some());
-        }
-        let zero = record.get("final_onmi").and_then(json::Json::as_f64) == Some(0.0);
-        let doc = json::Json::obj(vec![
-            ("schema", json::Json::Str(INFERENCE_BENCH_SCHEMA.into())),
-            ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-            ("runs", json::Json::Array(vec![record])),
-        ]);
-        let chk = check_inference_bench(&doc.render_pretty()).unwrap();
-        assert_eq!(chk.runs, 1);
-        // The warning list agrees with whatever the record actually scored.
-        assert_eq!(!chk.zero_onmi.is_empty(), zero);
-        // Schema and key failures are reported.
-        assert!(check_inference_bench("{}").is_err());
-        let wrong = json::Json::obj(vec![
-            ("schema", json::Json::Str(INFERENCE_BENCH_SCHEMA.into())),
-            ("runs", json::Json::Array(vec![json::Json::obj(vec![])])),
-        ]);
-        assert!(check_inference_bench(&wrong.render_pretty()).unwrap_err().contains("missing key"));
-    }
-
-    #[test]
     fn check_flags_finished_runs_with_zero_onmi() {
-        // Synthetic artifact: structurally valid runs. Only the one that
-        // *finished* with final_onmi == 0.0 may be flagged — a zero score
-        // on an unfinished campaign is expected — and the warning must
-        // carry the per-backend agreement plus the separation ratio.
-        let run = |scenario: &str, onmi: f64, finished: Option<bool>| {
-            let backend_entry = |name: &str, b_onmi: f64| {
-                json::Json::obj(vec![
-                    ("backend", json::Json::Str(name.into())),
-                    ("final_onmi", json::Json::Float(b_onmi)),
-                    ("final_clusters", json::Json::UInt(4)),
-                    ("infer_ms", json::Json::Float(1.0)),
-                ])
-            };
-            let mut fields = vec![
-                ("scenario", json::Json::Str(scenario.into())),
-                ("hosts", json::Json::UInt(16)),
-                ("iterations", json::Json::UInt(2)),
-                ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-                ("measure_threads", json::Json::UInt(4)),
-                ("aggregate_ms", json::Json::Float(1.0)),
-                ("cluster_ms", json::Json::Float(1.0)),
-                ("inference_wall_ms", json::Json::Float(2.0)),
-                ("final_onmi", json::Json::Float(onmi)),
-                ("measure_speedup", json::Json::Null),
-                ("separation_ratio", json::Json::Float(1.25)),
-                (
-                    "backends",
-                    json::Json::Array(vec![
-                        backend_entry("louvain", onmi),
-                        backend_entry("additive", 0.61),
-                    ]),
-                ),
-            ];
-            if let Some(f) = finished {
-                fields.push(("finished", json::Json::Bool(f)));
-            }
-            json::Json::obj(fields)
+        // Real records from a tiny sweep, with the final oNMI forced. Every
+        // report scoring 0.0 warns, naming the backends in the directory
+        // that scored zero or nonzero on the same campaign.
+        let spec = SweepSpec {
+            scenarios: ScenarioSpec::parse_list("wan:2x2:0.25").unwrap(),
+            backends: vec![
+                ClusteringAlgorithm::Louvain.into(),
+                ClusteringAlgorithm::LabelPropagation.into(),
+                Backend::Additive,
+            ],
+            seeds: vec![7, 8],
+            iterations: Some(2),
+            pieces: 48,
+            threads: 0,
         };
-        let doc = json::Json::obj(vec![
-            ("schema", json::Json::Str(INFERENCE_BENCH_SCHEMA.into())),
-            ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-            (
-                "runs",
-                json::Json::Array(vec![
-                    run("broken", 0.0, Some(true)),
-                    run("aborted", 0.0, Some(false)),
-                    run("legacy", 0.0, None),
-                    run("healthy", 0.83, Some(true)),
-                ]),
-            ),
-        ]);
-        let chk = check_inference_bench(&doc.render_pretty()).unwrap();
-        assert_eq!(chk.runs, 4);
-        let expected = ZeroOnmiWarning {
-            scenario: "broken".to_string(),
-            zero_backends: vec!["louvain".to_string()],
-            nonzero_backends: vec!["additive".to_string()],
-            separation_ratio: Some(1.25),
+        let records = run_sweep(&spec);
+        let record = |backend: &str, seed: u64, onmi: f64| {
+            let mut r = records
+                .iter()
+                .find(|r| r.algorithm == backend && r.seed == seed)
+                .expect("swept coordinate")
+                .clone();
+            r.convergence.last_mut().expect("two iterations").onmi = onmi;
+            r
         };
-        assert_eq!(chk.zero_onmi, vec![expected.clone()]);
-        let line = expected.to_string();
-        assert!(line.contains("disagree") && line.contains("additive"), "{line}");
-        assert!(line.contains("separation ratio 1.25"), "{line}");
-        // End to end: dropped in a directory, check_outputs carries the
-        // warning through to its summary.
         let dir = std::env::temp_dir().join(format!("btt-zero-onmi-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(INFERENCE_BENCH_FILE), doc.render_pretty()).unwrap();
-        let summary = check_outputs(&dir).unwrap();
-        assert_eq!(summary.zero_onmi, vec![expected]);
+        let write = |name: &str, r: &ReportRecord| {
+            fs::write(dir.join(name), r.to_json().render_pretty()).unwrap();
+            dir.join(name)
+        };
+        let lp7 = record("label-propagation", 7, 0.0);
+        let louvain7 = record("louvain", 7, 0.0);
+        let mut louvain8 = record("louvain", 8, 0.0);
+        louvain8.diagnosis.separation_ratio = None;
+        let warning =
+            |path: PathBuf, r: &ReportRecord, zero: &[&str], nonzero: &[&str]| ZeroOnmiWarning {
+                path,
+                scenario: "wan:2x2:0.25".to_string(),
+                seed: r.seed,
+                zero_backends: zero.iter().map(|s| s.to_string()).collect(),
+                nonzero_backends: nonzero.iter().map(|s| s.to_string()).collect(),
+                separation_ratio: r.diagnosis.separation_ratio,
+            };
+        // Seed 7: two backends at zero agree. Seed 8: zero next to a
+        // nonzero additive report disagrees, and is not grouped with seed
+        // 7; the nonzero report itself raises no warning.
+        let lp7_path = write("wan-2x2-0.25__label-propagation__s7.json", &lp7);
+        let louvain7_path = write("wan-2x2-0.25__louvain__s7.json", &louvain7);
+        let louvain8_path = write("wan-2x2-0.25__louvain__s8.json", &louvain8);
+        write("wan-2x2-0.25__additive__s8.json", &record("additive", 8, 0.5));
+        let agree = ["label-propagation", "louvain"];
+        let mut expected = vec![
+            warning(lp7_path, &lp7, &agree, &[]),
+            warning(louvain7_path, &louvain7, &agree, &[]),
+            warning(louvain8_path.clone(), &louvain8, &["louvain"], &["additive"]),
+        ];
+        assert_eq!(check_outputs(&dir).unwrap().zero_onmi, expected);
+        let line = expected[0].to_string();
+        assert!(
+            line.contains("wan:2x2:0.25 seed 7") && line.contains("all backends agree"),
+            "{line}"
+        );
+        let ratio = lp7.diagnosis.separation_ratio.expect("two sites have inter-site weight");
+        assert!(line.contains(&format!("separation ratio {}", json::fmt_f64(ratio))), "{line}");
+        let line = expected[2].to_string();
+        assert!(line.contains("disagree") && line.contains("nonzero: additive"), "{line}");
+        assert!(line.ends_with("separation ratio n/a"), "{line}");
+        assert!(line.starts_with(&louvain8_path.display().to_string()), "{line}");
+        // Served jobs' files join the group their records name, whatever
+        // their file names (which sort first). A repeated job names its
+        // backend once; a job on another piece count is another campaign.
+        let additive7 = record("additive", 7, 0.0);
+        let job3 = write("job3__wan-2x2-0.25__additive__s7.json", &additive7);
+        let job4 = write("job4__wan-2x2-0.25__louvain__s7.json", &louvain7);
+        let mut other_campaign = record("label-propagation", 7, 0.5);
+        other_campaign.pieces = 96;
+        write("job5__wan-2x2-0.25__label-propagation__s7.json", &other_campaign);
+        let agree = ["additive", "louvain", "label-propagation"];
+        for w in &mut expected[..2] {
+            w.zero_backends = agree.iter().map(|s| s.to_string()).collect();
+        }
+        expected.insert(0, warning(job4, &louvain7, &agree, &[]));
+        expected.insert(0, warning(job3, &additive7, &agree, &[]));
+        assert_eq!(check_outputs(&dir).unwrap().zero_onmi, expected);
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn check_rejects_mixed_measure_speedup_encoding() {
-        // `measure_speedup` is a positive float or a typed null. The old
-        // mixed encoding — `"n/a"` strings next to floats in one array —
-        // is a validation error, not a silently-accepted pass.
-        let doc = |speedup| inference_bench_doc(speedup, json::Json::Null);
-        assert!(check_inference_bench(&doc(json::Json::Null)).is_ok());
-        assert!(check_inference_bench(&doc(json::Json::Float(3.25))).is_ok());
-        for bad in
-            [json::Json::Str("n/a".into()), json::Json::Float(-1.0), json::Json::Str("fast".into())]
-        {
-            let err = check_inference_bench(&doc(bad)).unwrap_err();
-            assert!(err.contains("measure_speedup"), "{err}");
-        }
-    }
-
-    #[test]
-    fn check_rejects_string_separation_ratio() {
-        // `separation_ratio` is a float or a typed null, like
-        // `measure_speedup`; the old `"n/a"` string is rejected.
-        let doc = |ratio| inference_bench_doc(json::Json::Null, ratio);
-        assert!(check_inference_bench(&doc(json::Json::Null)).is_ok());
-        assert!(check_inference_bench(&doc(json::Json::Float(1.25))).is_ok());
-        for bad in [json::Json::Str("n/a".into()), json::Json::Bool(true)] {
-            let err = check_inference_bench(&doc(bad)).unwrap_err();
-            assert!(err.contains("separation_ratio"), "{err}");
-        }
-    }
-
-    /// A minimal structurally-valid v2 document with one run carrying the
-    /// given `measure_speedup` and `separation_ratio`.
-    fn inference_bench_doc(speedup: json::Json, separation_ratio: json::Json) -> String {
-        let run = json::Json::obj(vec![
-            ("scenario", json::Json::Str("synthetic".into())),
-            ("hosts", json::Json::UInt(16)),
-            ("iterations", json::Json::UInt(2)),
-            ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-            ("measure_threads", json::Json::UInt(4)),
-            ("aggregate_ms", json::Json::Float(1.0)),
-            ("cluster_ms", json::Json::Float(1.0)),
-            ("inference_wall_ms", json::Json::Float(2.0)),
-            ("final_onmi", json::Json::Float(0.9)),
-            ("measure_speedup", speedup),
-            ("separation_ratio", separation_ratio),
-            (
-                "backends",
-                json::Json::Array(vec![json::Json::obj(vec![
-                    ("backend", json::Json::Str("louvain".into())),
-                    ("final_onmi", json::Json::Float(0.9)),
-                    ("final_clusters", json::Json::UInt(4)),
-                    ("infer_ms", json::Json::Float(1.0)),
-                ])]),
-            ),
-        ]);
-        json::Json::obj(vec![
-            ("schema", json::Json::Str(INFERENCE_BENCH_SCHEMA.into())),
-            ("seed", json::Json::UInt(INFERENCE_BENCH_SEED)),
-            ("runs", json::Json::Array(vec![run])),
-        ])
-        .render_pretty()
-    }
-
-    #[test]
-    fn bench_point_filter_semantics() {
-        assert!(bench_point_selected("fat-tree-1k", None));
-        assert!(bench_point_selected("fat-tree-1k", Some(&[])));
-        let names = vec!["FAT-TREE-1K".to_string(), "wan-1k".to_string()];
-        assert!(bench_point_selected("fat-tree-1k", Some(&names)), "case-insensitive");
-        assert!(!bench_point_selected("edge-2k", Some(&names)));
     }
 
     #[test]

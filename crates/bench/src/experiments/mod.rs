@@ -3,7 +3,6 @@
 pub mod ablations;
 pub mod cost;
 pub mod figures;
-pub mod scale;
 pub mod scaling;
 
 use crate::ReproCtx;
@@ -22,7 +21,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "small2x2",
     "scaling-nodes",
     "scaling-size",
-    "scale",
     "cost",
     "ablation-infomap",
     "ablation-selection",
@@ -47,7 +45,6 @@ pub fn run(ctx: &mut ReproCtx, id: &str) -> bool {
         "small2x2" => figures::small2x2(ctx),
         "scaling-nodes" => scaling::scaling_nodes(ctx),
         "scaling-size" => scaling::scaling_size(ctx),
-        "scale" => scale::scale(ctx),
         "cost" => cost::cost_comparison(ctx),
         "ablation-infomap" => ablations::ablation_infomap(ctx),
         "ablation-selection" => ablations::ablation_selection(ctx),

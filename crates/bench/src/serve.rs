@@ -53,6 +53,12 @@ pub const SERVE_SCHEMA: &str = "btt-serve-v1";
 /// any in-repo caller uses.
 pub const MAX_JOB_ITERATIONS: u32 = 10_000;
 
+/// Most file fragments one job may request. A broadcast allocates hosts ×
+/// pieces availability counters up front, so an unbounded count could
+/// exhaust memory before the first transfer; this is about 4× the paper's
+/// 15,259-piece file, the largest count any in-repo caller uses.
+pub const MAX_JOB_PIECES: u32 = 65_536;
+
 /// A malformed or unanswerable request, rejected at the protocol boundary.
 ///
 /// Mirrors the `CheckError` style: typed variants that name the offending
@@ -176,7 +182,8 @@ pub struct JobSpec {
     /// Broadcast iterations (optional, default: the scenario's own count;
     /// at most [`MAX_JOB_ITERATIONS`]).
     pub iterations: Option<u32>,
-    /// File size in 16 KiB fragments (optional, default 256).
+    /// File size in 16 KiB fragments (optional, default 256; at most
+    /// [`MAX_JOB_PIECES`]).
     pub pieces: u32,
     /// Streaming re-cluster cadence (optional, default 1 — every run).
     pub recluster_every: u32,
@@ -264,12 +271,19 @@ impl JobSpec {
                 format!("at most MAX_JOB_ITERATIONS = {MAX_JOB_ITERATIONS} broadcasts per job"),
             ));
         }
+        let pieces = u32_field("pieces", 1)?.unwrap_or(256);
+        if pieces > MAX_JOB_PIECES {
+            return Err(bad(
+                "pieces",
+                format!("at most MAX_JOB_PIECES = {MAX_JOB_PIECES} fragments per job"),
+            ));
+        }
         Ok(JobSpec {
             scenario,
             backend,
             seed,
             iterations,
-            pieces: u32_field("pieces", 1)?.unwrap_or(256),
+            pieces,
             recluster_every: u32_field("recluster_every", 1)?.unwrap_or(1),
             threads,
         })
@@ -949,20 +963,25 @@ mod tests {
             }
         }
 
-        // An iteration count too large to allocate is refused naming the
-        // limit, and the daemon keeps answering.
-        let huge = Json::obj(vec![
-            ("scenario", Json::Str("2x2".to_string())),
-            ("iterations", Json::UInt(4_000_000_000)),
-        ]);
-        let resp = client.request(&ServeClient::envelope("submit", vec![("job", huge)])).unwrap();
-        let err = resp.get("error").expect("submit must fail");
-        assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_job_spec"));
-        assert_eq!(err.get("field").and_then(Json::as_str), Some("iterations"));
-        let message = err.get("message").and_then(Json::as_str).unwrap();
-        assert!(message.contains("MAX_JOB_ITERATIONS = 10000"), "{message}");
-        let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
-        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+        // Iteration and piece counts too large to allocate are refused
+        // naming the limit, and the daemon keeps answering.
+        for (field, limit) in
+            [("iterations", "MAX_JOB_ITERATIONS = 10000"), ("pieces", "MAX_JOB_PIECES = 65536")]
+        {
+            let huge = Json::obj(vec![
+                ("scenario", Json::Str("2x2".to_string())),
+                (field, Json::UInt(4_000_000_000)),
+            ]);
+            let resp =
+                client.request(&ServeClient::envelope("submit", vec![("job", huge)])).unwrap();
+            let err = resp.get("error").expect("submit must fail");
+            assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_job_spec"));
+            assert_eq!(err.get("field").and_then(Json::as_str), Some(field));
+            let message = err.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(limit), "{message}");
+            let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
+            assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+        }
 
         // A spec too large to build is refused naming the limit, and the
         // daemon keeps answering.

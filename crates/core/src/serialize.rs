@@ -1167,6 +1167,21 @@ mod tests {
         // drive a max-id-sized allocation.
         let v = mutate("final_partition", Json::Array(vec![Json::UInt(4_000_000_000); 4]));
         assert!(ReportRecord::from_json(&v).is_err(), "oversized cluster id");
+        // `diagnosis.separation_ratio` is a number or a typed `null`; the
+        // old `"n/a"` string encoding and other non-numbers are corruption.
+        let with_ratio = |ratio: Json| {
+            let mut d = base.get("diagnosis").unwrap().clone();
+            if let Json::Object(fields) = &mut d {
+                fields.iter_mut().find(|(k, _)| k == "separation_ratio").unwrap().1 = ratio;
+            }
+            ReportRecord::from_json(&mutate("diagnosis", d))
+        };
+        assert_eq!(with_ratio(Json::Null).unwrap().diagnosis.separation_ratio, None);
+        assert_eq!(with_ratio(Json::Float(1.25)).unwrap().diagnosis.separation_ratio, Some(1.25));
+        for corrupt in [Json::Str("n/a".into()), Json::Bool(true)] {
+            let err = with_ratio(corrupt).unwrap_err();
+            assert!(err.message.contains("separation_ratio"), "{err}");
+        }
     }
 
     #[test]

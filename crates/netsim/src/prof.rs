@@ -12,8 +12,8 @@
 //!
 //! Drivers read a snapshot via [`crate::engine::SimNet::prof`] and thread it
 //! into their own phase breakdown (the swarm layer adds protocol-side
-//! counters; the `btt` engine benchmark serializes the merged picture into
-//! the `phases` block of every `btt-engine-bench-v2` record).
+//! counters; a traced `btt-benchmark` run reports the merged picture as
+//! its `engine.*`, `fairness.*` and `swarm.*` per-layer metrics).
 //!
 //! Profiling state is *observational only*: it never feeds back into
 //! simulation decisions, so two runs differing only in how often the

@@ -65,18 +65,13 @@ pub struct SwarmConfig {
     /// Rolling window for transfer-rate estimation (seconds).
     pub rate_window: f64,
     /// Pacing cap for [`DriveMode::FixedStep`] (seconds). Protocol actions
-    /// are event-timed in both modes; this only bounds how far a single
+    /// are event-timed in both modes; this bounds how far a single
     /// fixed-step slice may advance (e.g. between traffic-hook invocations).
+    /// In both modes it is also the fairness re-solve quantum: flow churn
+    /// is batched and rates re-solved at most once per `step`.
     pub step: f64,
     /// How runs advance time (see [`DriveMode`]).
     pub drive: DriveMode,
-    /// Fairness re-solve quantum in seconds (`None` = use [`SwarmConfig::step`]).
-    /// Flow churn is batched and rates re-solved at most once per quantum —
-    /// the staleness bound the legacy fixed-step engine implicitly had at
-    /// one `step`. Large slow-network swarms raise it (staleness that is a
-    /// small fraction of the makespan buys a proportional cut in solver
-    /// work); probe-style exactness wants it small.
-    pub rate_refresh: Option<f64>,
     /// How long a transfer stream survives after its uploader runs out of
     /// fresh pieces (seconds' worth of bytes at the stream's current rate).
     /// Bytes delivered while idling model request pipelining / read-ahead:
@@ -126,9 +121,6 @@ impl SwarmConfig {
         assert!(self.rechoke_interval > 0.0 && self.optimistic_interval > 0.0);
         assert!(self.step > 0.0 && self.max_sim_time > self.step);
         assert!(self.idle_grace > 0.0, "idle grace must be positive");
-        if let Some(q) = self.rate_refresh {
-            assert!(q > 0.0 && q.is_finite(), "rate refresh quantum must be positive");
-        }
         if let SelectionPolicy::SampledRarest { sample } = self.selection {
             assert!(sample >= 1, "sample size must be at least 1");
         }
@@ -148,7 +140,6 @@ impl Default for SwarmConfig {
             rate_window: 20.0,
             step: 0.05,
             drive: DriveMode::EventDriven,
-            rate_refresh: None,
             idle_grace: 0.05,
             endgame_pieces: 20,
             random_first_pieces: 4,

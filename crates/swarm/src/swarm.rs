@@ -392,11 +392,10 @@ impl Swarm {
         }
 
         let mut net = SimNet::with_routes(routes.topology().clone(), routes);
-        // Batch fairness re-solves on the configured quantum (default: the
-        // protocol step — the same rate-staleness bound the legacy
-        // fixed-step engine had). This is the knob that keeps per-fragment
-        // cost flat at 1000+ hosts.
-        net.set_rate_refresh(cfg.rate_refresh.unwrap_or(cfg.step));
+        // Batch fairness re-solves on the protocol step — the same
+        // rate-staleness bound the legacy fixed-step engine had. This keeps
+        // per-fragment cost flat at 1000+ hosts.
+        net.set_rate_refresh(cfg.step);
         let host_index: FxHashMap<NodeId, u32> =
             hosts.iter().enumerate().map(|(i, &h)| (h, i as u32)).collect();
         let mut status = vec![0u8; n];
