@@ -257,7 +257,42 @@ struct Core {
 /// Calendar id reserved for rate-refresh events (never a flow id).
 const REFRESH_ID: u64 = u64::MAX;
 
+/// Constant term of the calendar bound: an advance step sweeps the calendar
+/// of stale entries once it holds more than `2 × live flows` plus this many
+/// (see [`Core::compact_calendar`]).
+const CALENDAR_SLACK: usize = 64;
+
 impl Core {
+    /// Whether calendar entry `e` can still fire: it carries its flow's
+    /// current generation, or it is the scheduled refresh. A stale entry
+    /// stays stale — generations only grow and flow ids are never reused —
+    /// so dropping one early changes nothing but the pop counters.
+    fn is_live(&self, e: &Event) -> bool {
+        if e.id == REFRESH_ID {
+            self.refresh_scheduled && e.gen == self.refresh_gen
+        } else {
+            self.flows.get(&e.id).is_some_and(|f| f.gen == e.gen)
+        }
+    }
+
+    /// Drops every stale entry in one O(H) pass once the calendar holds
+    /// more than `2 × live flows + CALENDAR_SLACK` entries. Each flow has at
+    /// most one live entry, plus one refresh entry, so a pass removes at
+    /// least half the heap and its cost amortizes to O(1) per push; popping
+    /// the same entries one by one costs O(log H) each. Live entries keep
+    /// their total order, so every event fires at the same instant in the
+    /// same order.
+    fn compact_calendar(&mut self) {
+        if self.calendar.len() <= 2 * self.flows.len() + CALENDAR_SLACK {
+            return;
+        }
+        let mut calendar = std::mem::take(&mut self.calendar);
+        let before = calendar.len();
+        calendar.retain(|e| self.is_live(e));
+        self.prof.stale_dropped += (before - calendar.len()) as u64;
+        self.calendar = calendar;
+    }
+
     /// Immediate-resolve hook for the fully exact mode (`quantum == 0`);
     /// with a positive quantum, scheduled refresh events drive `resolve`.
     fn maybe_resolve(&mut self, now: SimTime) {
@@ -345,7 +380,6 @@ impl Core {
                     f.accrued = f.delivered_at(now);
                     f.accrue_from = now;
                 }
-                let old = f.rate;
                 f.rate = new_rate;
                 // Re-key the calendar only on material changes: a slightly
                 // stale entry fires marginally off its true instant — early
@@ -353,7 +387,6 @@ impl Core {
                 // deliver a hair past the horizon — which is far cheaper
                 // than re-pushing every flow of the component at every
                 // re-solve (stale heap entries are the real cost at scale).
-                let _ = old;
                 let keyed = f.keyed_rate;
                 let material =
                     (f.rate - keyed).abs() > 0.01 * keyed.abs().max(f.rate.abs()).max(1.0);
@@ -760,10 +793,22 @@ impl SimNet {
     pub fn advance_until_into(&mut self, deadline: SimTime, out: &mut Vec<Completion>) {
         assert!(deadline.is_finite(), "advance_until requires a finite deadline");
         let t0 = std::time::Instant::now();
+        self.run_until(deadline, out);
+        self.core.get_mut().prof.advance_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// The untimed body of [`advance_until_into`](Self::advance_until_into).
+    /// Each public `_into` entry times its whole body once, and
+    /// [`advance_to_next_event_until_into`](Self::advance_to_next_event_until_into)
+    /// ends here, so no advance time is counted twice.
+    fn run_until(&mut self, deadline: SimTime, out: &mut Vec<Completion>) {
         self.core.get_mut().flush_pending_marks(self.time);
         loop {
             let core = self.core.get_mut();
             core.maybe_resolve(self.time);
+            // Exact mode re-keys at every event, so the bound is kept here
+            // and not only at entry.
+            core.compact_calendar();
             // Pop the earliest still-valid event inside the window.
             let event = loop {
                 match core.calendar.peek() {
@@ -771,12 +816,7 @@ impl SimNet {
                         let e = *e;
                         core.calendar.pop();
                         core.prof.events_popped += 1;
-                        let valid = if e.id == REFRESH_ID {
-                            core.refresh_scheduled && e.gen == core.refresh_gen
-                        } else {
-                            core.flows.get(&e.id).is_some_and(|f| f.gen == e.gen)
-                        };
-                        if valid {
+                        if core.is_live(&e) {
                             break Some(e);
                         }
                         core.prof.stale_events += 1;
@@ -865,8 +905,6 @@ impl SimNet {
         if deadline > self.time {
             self.time = deadline;
         }
-        let core = self.core.get_mut();
-        core.prof.advance_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Advances to the next event (bounded completion or delivery mark) or
@@ -895,23 +933,17 @@ impl SimNet {
         deadline: SimTime,
         out: &mut Vec<Completion>,
     ) {
+        let t0 = std::time::Instant::now();
         let eta = {
             let core = self.core.get_mut();
             core.flush_pending_marks(self.time);
             core.maybe_resolve(self.time);
+            core.compact_calendar();
             // Discard stale entries, then read the earliest live horizon.
             loop {
                 match core.calendar.peek() {
-                    Some(e) => {
-                        let e = *e;
-                        let valid = if e.id == REFRESH_ID {
-                            core.refresh_scheduled && e.gen == core.refresh_gen
-                        } else {
-                            core.flows.get(&e.id).is_some_and(|f| f.gen == e.gen)
-                        };
-                        if valid {
-                            break Some(e.at);
-                        }
+                    Some(e) if core.is_live(e) => break Some(e.at),
+                    Some(_) => {
                         core.calendar.pop();
                         core.prof.events_popped += 1;
                         core.prof.stale_events += 1;
@@ -924,11 +956,11 @@ impl SimNet {
             Some(at) if at <= deadline => at,
             _ => deadline,
         };
-        if !target.is_finite() {
-            // No scheduled events and an unbounded horizon: nothing to do.
-            return;
+        // No scheduled events and an unbounded horizon: nothing to do.
+        if target.is_finite() {
+            self.run_until(target, out);
         }
-        self.advance_until_into(target, out);
+        self.core.get_mut().prof.advance_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Runs until all bounded flows complete or `max_time` of simulated time
@@ -1300,6 +1332,66 @@ mod tests {
         let got = net.take_delivered(s);
         let bound = Bandwidth::from_mbps(80.0).bytes_per_sec() * 0.25;
         assert!(got <= bound * (1.0 + 1e-6), "{got} exceeds degraded bound {bound}");
+    }
+
+    #[test]
+    fn calendar_stays_within_a_constant_factor_of_live_flows() {
+        // Forty marked streams share one 100 Mb/s bottleneck under a
+        // positive refresh quantum. The flow count alternates between 40
+        // and 39, so every refresh moves every rate by more than the
+        // material-change threshold and re-keys every far-off mark, leaving
+        // the old entries stale. Without compaction they pile up.
+        let mut b = TopologyBuilder::new();
+        let sink = b.add_host("sink", "s", "c");
+        let sw = b.add_switch("sw", "s");
+        b.link(sink, sw, LinkSpec::lan(Bandwidth::from_mbps(100.0)));
+        let srcs: Vec<NodeId> = (0..48)
+            .map(|i| {
+                let h = b.add_host(format!("h{i}"), "s", "c");
+                b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(1000.0)));
+                h
+            })
+            .collect();
+        let mut net = SimNet::new(Arc::new(b.build().unwrap()));
+        net.set_rate_refresh(0.05);
+        let mut live = std::collections::VecDeque::new();
+        let mut started = 0u64;
+        let mut start = |net: &mut SimNet| {
+            let f = net.start_flow(srcs[started as usize % srcs.len()], sink, None, started);
+            net.set_delivery_mark(f, 1e9);
+            started += 1;
+            f
+        };
+        for _ in 0..40 {
+            live.push_back(start(&mut net));
+        }
+        let bounded = |net: &SimNet, round: usize| {
+            let core = net.core.borrow();
+            let bound = 2 * core.flows.len() + CALENDAR_SLACK;
+            assert!(
+                core.calendar.len() <= bound,
+                "round {round}: {} calendar entries for {} flows",
+                core.calendar.len(),
+                core.flows.len()
+            );
+        };
+        let mut out = Vec::new();
+        for round in 0..400 {
+            if round % 2 == 0 {
+                net.stop_flow(live.pop_front().unwrap()).unwrap();
+            } else {
+                live.push_back(start(&mut net));
+            }
+            match round % 3 {
+                0 => out.extend(net.advance(0.05)),
+                1 => out.extend(net.advance_to_next_event(0.05)),
+                _ => net.advance_until_into(net.time() + 0.05, &mut out),
+            }
+            bounded(&net, round);
+        }
+        assert!(out.is_empty(), "no mark is due within the run");
+        let prof = net.prof();
+        assert!(prof.stale_dropped > 0, "compaction never ran: {prof:?}");
     }
 
     #[test]

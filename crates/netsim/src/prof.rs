@@ -18,6 +18,13 @@
 //! Profiling state is *observational only*: it never feeds back into
 //! simulation decisions, so two runs differing only in how often the
 //! counters are read stay bit-identical.
+//!
+//! The calendar counters ([`EngineProf::events_popped`],
+//! [`EngineProf::stale_events`], [`EngineProf::stale_dropped`]) are a
+//! function of the seed *and* of how callers slice time into advance calls:
+//! the engine compacts its calendar at advance entry, so a different slicing
+//! drops stale entries at different instants and pops a different number of
+//! them. Simulation state does not depend on the slicing.
 
 /// Counters and timers accumulated by the fairness solver.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +61,23 @@ impl SolverProf {
 /// Counters and timers accumulated by the event engine, including the
 /// solver's share ([`EngineProf::solver`]).
 ///
+/// Every calendar entry pushed is eventually popped live, popped stale
+/// ([`EngineProf::stale_events`]), dropped by compaction
+/// ([`EngineProf::stale_dropped`]), or still queued.
+///
 /// `Debug` is implemented by hand to omit the two wall-clock timers:
 /// seeded-determinism checks compare whole reports by their `Debug`
 /// rendering, and timers are measurement, not simulation output — the
-/// counters are a pure function of the seed, the nanoseconds are not.
+/// counters are a pure function of the seed and the caller's advance
+/// slicing, the nanoseconds are not.
 #[derive(Default, Clone, Copy, PartialEq)]
 pub struct EngineProf {
     /// Calendar entries popped (valid and stale alike).
     pub events_popped: u64,
     /// Popped entries discarded as stale (superseded generation).
     pub stale_events: u64,
+    /// Stale entries removed by calendar compaction without being popped.
+    pub stale_dropped: u64,
     /// Delivery-mark completions fired.
     pub marks_fired: u64,
     /// Bounded-flow completions fired.
@@ -77,8 +91,10 @@ pub struct EngineProf {
     pub flows_started: u64,
     /// Wall time inside fairness re-solves, nanoseconds.
     pub solver_ns: u64,
-    /// Wall time inside event advancement (`advance_until` and friends),
-    /// nanoseconds. Includes `solver_ns`: re-solves run from the event loop.
+    /// Wall time inside event advancement, nanoseconds. Each public advance
+    /// entry is timed once around its whole body: pending-mark flush,
+    /// re-solves, calendar compaction, stale discards and the event loop.
+    /// Includes `solver_ns`: re-solves run from the event loop.
     pub advance_ns: u64,
     /// The solver's own counters.
     pub solver: SolverProf,
@@ -89,6 +105,7 @@ impl EngineProf {
     pub fn merge(&mut self, other: &EngineProf) {
         self.events_popped += other.events_popped;
         self.stale_events += other.stale_events;
+        self.stale_dropped += other.stale_dropped;
         self.marks_fired += other.marks_fired;
         self.flows_finished += other.flows_finished;
         self.undershoot_rekeys += other.undershoot_rekeys;
@@ -117,6 +134,7 @@ impl core::fmt::Debug for EngineProf {
         f.debug_struct("EngineProf")
             .field("events_popped", &self.events_popped)
             .field("stale_events", &self.stale_events)
+            .field("stale_dropped", &self.stale_dropped)
             .field("marks_fired", &self.marks_fired)
             .field("flows_finished", &self.flows_finished)
             .field("undershoot_rekeys", &self.undershoot_rekeys)
@@ -135,18 +153,21 @@ mod tests {
     fn merge_sums_fieldwise() {
         let mut a = EngineProf {
             events_popped: 1,
+            stale_dropped: 4,
             solver_ns: 10,
             solver: SolverProf { resolves: 2, ..Default::default() },
             ..Default::default()
         };
         let b = EngineProf {
             events_popped: 2,
+            stale_dropped: 3,
             solver_ns: 5,
             solver: SolverProf { resolves: 3, ..Default::default() },
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.events_popped, 3);
+        assert_eq!(a.stale_dropped, 7);
         assert_eq!(a.solver_ns, 15);
         assert_eq!(a.solver.resolves, 5);
         assert!((a.solver_ms() - 15e-6).abs() < 1e-12);

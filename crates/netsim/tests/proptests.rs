@@ -1,9 +1,11 @@
 //! Property-based tests for the simulator's core invariants.
 
+use btt_netsim::engine::CompletionKind;
 use btt_netsim::fairness::{max_min_rates, FlowInput, IncrementalMaxMin};
 use btt_netsim::prelude::*;
 use btt_netsim::routing::RouteTable;
 use proptest::prelude::*;
+use proptest::test_runner::run_cases;
 use std::sync::Arc;
 
 /// Route invariants on the 1000+-host synthetic topologies the scaling work
@@ -545,4 +547,140 @@ proptest! {
         prop_assert_eq!(tags.len(), started, "each flow completes exactly once");
         prop_assert_eq!(net.active_flows(), 0);
     }
+}
+
+/// One churn script replayed against a fresh engine. Each op runs at an
+/// absolute instant (the running sum of its gap). The coarse replay reaches
+/// it with one `advance_until`. The fine replay reaches it through short
+/// slices that alternate `advance_to_next_event_until` and
+/// `advance_until`, so it enters the engine far more often and compacts the
+/// calendar at other instants. Returns the event and stop log, the final
+/// channel bytes and clock, and the number of stale entries compaction
+/// dropped.
+fn replay_churn(
+    topo: &Arc<Topology>,
+    quantum: f64,
+    nflows: usize,
+    script: &[(u16, f64)],
+    seed: u64,
+    fine: bool,
+) -> (Vec<u64>, Vec<u64>, u64, u64) {
+    let hosts = topo.hosts().to_vec();
+    let mut x = seed | 1;
+    let mut next = move || {
+        x = btt_netsim::util::splitmix64(x);
+        x as usize
+    };
+    let mut net = SimNet::new(topo.clone());
+    net.set_rate_refresh(quantum);
+    let mut live: Vec<FlowId> = Vec::new();
+    let mut tag = 0u64;
+    // Streams and bounded flows between distinct hosts, most with a mark up
+    // to 256 MiB ahead: far-off marks keep re-keyed entries queued long
+    // after they go stale.
+    let mut start = |net: &mut SimNet, live: &mut Vec<FlowId>, r: usize| {
+        let a = r % hosts.len();
+        let b = (a + 1 + (r / 7) % (hosts.len() - 1)) % hosts.len();
+        let bytes = r.is_multiple_of(3).then(|| (1 + (r / 3) % 4_000) as f64 * 1024.0);
+        let f = net.start_flow(hosts[a], hosts[b], bytes, tag);
+        tag += 1;
+        if !r.is_multiple_of(4) {
+            net.set_delivery_mark(f, (1 + (r / 11) % 4_096) as f64 * 65_536.0);
+        }
+        live.push(f);
+    };
+    for _ in 0..nflows {
+        start(&mut net, &mut live, next());
+    }
+    let mut log: Vec<u64> = Vec::new();
+    let mut fired = Vec::new();
+    let mut at = 0.0;
+    for &(pick, gap) in script {
+        at += gap;
+        if fine {
+            let mut k = 0u32;
+            while net.time() < at {
+                k += 1;
+                let d = (net.time() + gap / 3.0).min(at);
+                if k % 2 == 1 {
+                    net.advance_to_next_event_until_into(d, &mut fired);
+                } else {
+                    net.advance_until_into(d, &mut fired);
+                }
+            }
+        } else {
+            net.advance_until_into(at, &mut fired);
+        }
+        for c in fired.drain(..) {
+            log.extend([c.at.to_bits(), c.tag, (c.kind == CompletionKind::Mark) as u64]);
+        }
+        live.retain(|&f| net.flow_endpoints(f).is_some());
+        let r = next();
+        match pick % 6 {
+            0 | 1 => start(&mut net, &mut live, r),
+            2 if !live.is_empty() => {
+                net.set_delivery_mark(live[r % live.len()], (1 + r % 4_096) as f64 * 65_536.0);
+            }
+            3 if !live.is_empty() => {
+                let stats = net.stop_flow(live.swap_remove(r % live.len())).unwrap();
+                log.extend([stats.delivered.to_bits(), stats.ended_at.to_bits()]);
+            }
+            4 => {
+                for (_, t, stats) in net.fail_host(hosts[r % hosts.len()]) {
+                    log.extend([t, stats.delivered.to_bits()]);
+                }
+            }
+            // Re-arm every live mark at once: a burst of stale entries.
+            _ => {
+                for (i, &f) in live.iter().enumerate() {
+                    net.set_delivery_mark(f, (1 + (r + i) % 4_096) as f64 * 65_536.0);
+                }
+            }
+        }
+    }
+    let dropped = net.prof().stale_dropped;
+    for f in live {
+        if let Some(stats) = net.stop_flow(f) {
+            log.extend([stats.delivered.to_bits(), stats.started_at.to_bits()]);
+        }
+    }
+    let chan = net.channel_bytes().iter().map(|b| b.to_bits()).collect();
+    (log, chan, net.time().to_bits(), dropped)
+}
+
+/// Multi-flow churn (marks, bounded flows, stops, host failures), under
+/// exact and batched re-solves, lands bit-identical events, flow stats and
+/// channel bytes however callers slice time — even though the two slicings
+/// compact the calendar at different instants. A single flow never builds
+/// a calendar big enough to compact, so this is the slicing test that
+/// reaches compaction; the run asserts that some cases did.
+#[test]
+fn churn_is_bitwise_invariant_to_advance_slicing_through_compaction() {
+    let compacted = std::cell::Cell::new(0u32);
+    let strategy = (
+        2usize..4,
+        100f64..900.0,
+        0u8..2,
+        4usize..16,
+        proptest::collection::vec((any::<u16>(), 0.0005f64..0.2), 20..120),
+        any::<u64>(),
+    );
+    let name = "churn_is_bitwise_invariant_to_advance_slicing_through_compaction";
+    run_cases(&ProptestConfig::with_cases(48), name, |rng| {
+        let (clusters, trunk, batched, nflows, script, seed) = strategy.sample(rng);
+        let topo = two_tier(clusters, 3, 890.0, trunk);
+        let quantum = if batched == 1 { 0.05 } else { 0.0 };
+        let (log, chan, time, coarse_dropped) =
+            replay_churn(&topo, quantum, nflows, &script, seed, false);
+        let (fine_log, fine_chan, fine_time, fine_dropped) =
+            replay_churn(&topo, quantum, nflows, &script, seed, true);
+        prop_assert_eq!(log, fine_log, "event and stop log");
+        prop_assert_eq!(chan, fine_chan, "channel bytes");
+        prop_assert_eq!(time, fine_time, "clock");
+        if coarse_dropped + fine_dropped > 0 {
+            compacted.set(compacted.get() + 1);
+        }
+        Ok(())
+    });
+    assert!(compacted.get() > 0, "no generated case compacted the calendar");
 }
