@@ -37,11 +37,21 @@ fn figure_experiments_run_at_tiny_scale() {
 #[test]
 fn scaling_and_ablations_run_at_tiny_scale() {
     let (mut ctx, dir) = tiny_ctx("abl");
-    for id in ["scaling-size", "ablation-infomap", "ablation-hierarchy", "ablation-dynamic"] {
+    for id in [
+        "scaling-size",
+        "ablation-infomap",
+        "ablation-load",
+        "ablation-hierarchy",
+        "ablation-dynamic",
+    ] {
         assert!(run(&mut ctx, id), "unknown experiment {id}");
     }
     assert!(dir.join("ablation_hierarchy.csv").exists());
     assert!(dir.join("ablation_dynamic.csv").exists());
+    let load = std::fs::read_to_string(dir.join("ablation_load.csv")).expect("load artifact");
+    let variants: Vec<_> =
+        load.lines().skip(1).map(|row| row.split(',').next().unwrap_or_default()).collect();
+    assert_eq!(variants, ["quiet", "loaded"], "ablation_load.csv rows:\n{load}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -54,11 +54,6 @@ impl Dendrogram {
     pub fn best_modularity(&self) -> f64 {
         self.modularities.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// Number of levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 /// Tuning knobs for [`louvain_with`]. [`louvain`] uses defaults.

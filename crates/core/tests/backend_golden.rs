@@ -4,15 +4,19 @@
 //!
 //! The files under `tests/golden/backend/` were generated by the
 //! *pre-refactor* tree (hardwired `ClusteringAlgorithm` dispatch) on
-//! wan-512 and wan-512-churn in both [`DriveMode`]s. The tests re-run the
-//! identical sessions through the pluggable-backend path and compare after
-//! normalizing exactly the two intentional v4 changes: the schema string
-//! and the added `diagnosis` block. Any other byte of drift — a different
-//! partition, a reordered field, a float formatting change — fails.
+//! wan-512 and wan-512-churn; that tree wrote the same bytes in both
+//! [`DriveMode`]s, so there is one file per scenario. Each test re-runs the
+//! identical session through the pluggable-backend path in one drive mode
+//! and compares the rendering to that file after normalizing exactly the
+//! two intentional v4 changes: the schema string and the added `diagnosis`
+//! block. Any other byte of drift — a different partition, a reordered
+//! field, a float formatting change, a drive-mode divergence — fails.
 //!
 //! Regenerate (only on an intentional format change) with
 //! `BTT_REGEN_GOLDEN=1 cargo test -p btt-core --test backend_golden`; the
-//! regenerated files keep the normalized (v3-shaped) form.
+//! event-driven tests rewrite the files in the normalized (v3-shaped) form,
+//! and the fixed-step tests still only compare, so re-run without the
+//! variable to check them against the new files.
 
 use btt_core::scenarios::ScenarioSpec;
 use btt_core::serialize::ReportRecord;
@@ -54,38 +58,34 @@ fn normalized_report(preset: &str, mode: DriveMode) -> String {
     out
 }
 
-fn check(preset: &str, mode_name: &str, mode: DriveMode) {
-    let path =
-        format!("{}/tests/golden/backend/{preset}__{mode_name}.json", env!("CARGO_MANIFEST_DIR"));
+fn check(preset: &str, mode: DriveMode) {
+    let path = format!("{}/tests/golden/backend/{preset}.json", env!("CARGO_MANIFEST_DIR"));
     let actual = normalized_report(preset, mode);
-    if std::env::var_os("BTT_REGEN_GOLDEN").is_some() {
+    if mode == DriveMode::EventDriven && std::env::var_os("BTT_REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &actual).expect("write golden");
         return;
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {path}: {e} (regen with BTT_REGEN_GOLDEN=1)"));
-    assert_eq!(
-        actual, expected,
-        "{preset} ({mode_name}) drifted from the pre-refactor clustering path"
-    );
+    assert_eq!(actual, expected, "{preset} ({mode:?}) drifted from the pre-refactor path");
 }
 
 #[test]
 fn wan_512_event_driven_matches_pre_refactor_bytes() {
-    check("wan-512", "event", DriveMode::EventDriven);
+    check("wan-512", DriveMode::EventDriven);
 }
 
 #[test]
 fn wan_512_fixed_step_matches_pre_refactor_bytes() {
-    check("wan-512", "fixed", DriveMode::FixedStep);
+    check("wan-512", DriveMode::FixedStep);
 }
 
 #[test]
 fn wan_512_churn_event_driven_matches_pre_refactor_bytes() {
-    check("wan-512-churn", "event", DriveMode::EventDriven);
+    check("wan-512-churn", DriveMode::EventDriven);
 }
 
 #[test]
 fn wan_512_churn_fixed_step_matches_pre_refactor_bytes() {
-    check("wan-512-churn", "fixed", DriveMode::FixedStep);
+    check("wan-512-churn", DriveMode::FixedStep);
 }

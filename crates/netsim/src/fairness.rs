@@ -337,12 +337,6 @@ impl IncrementalMaxMin {
         }
     }
 
-    /// Number of flows crossing channel `c`.
-    #[inline]
-    pub fn channel_load(&self, c: usize) -> usize {
-        self.members[c].len()
-    }
-
     /// Sum of the current rates of all flows crossing channel `c`.
     #[inline]
     pub fn channel_rate_sum(&self, c: usize) -> f64 {

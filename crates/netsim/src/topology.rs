@@ -137,12 +137,6 @@ impl LinkSpec {
     pub fn wan(capacity: Bandwidth, latency: f64, per_flow_cap: Bandwidth) -> Self {
         LinkSpec { capacity, per_flow_cap: Some(per_flow_cap), latency }
     }
-
-    /// Replaces the latency.
-    pub fn with_latency(mut self, latency: f64) -> Self {
-        self.latency = latency;
-        self
-    }
 }
 
 /// An immutable network topology, produced by [`TopologyBuilder`].

@@ -12,9 +12,7 @@
 use crate::config::SwarmConfig;
 use crate::metrics::MetricAccumulator;
 use crate::swarm::{RunOutcome, Swarm};
-use btt_netsim::perturb::{
-    generate_schedule, horizon_estimate, PerturbationSchedule, ReliabilityCfg,
-};
+use btt_netsim::perturb::{generate_schedule, horizon_estimate, ReliabilityCfg};
 use btt_netsim::routing::RouteTable;
 use btt_netsim::topology::NodeId;
 use btt_netsim::util::seed_for_iteration;
@@ -70,19 +68,6 @@ pub fn run_broadcast(
     seed: u64,
 ) -> BroadcastResult {
     Swarm::new(routes.clone(), hosts, root, cfg.clone(), seed).run()
-}
-
-/// Like [`run_broadcast`] with a reliability perturbation schedule attached
-/// (host churn, link degradation, cross-traffic).
-pub fn run_broadcast_perturbed(
-    routes: &Arc<RouteTable>,
-    hosts: &[NodeId],
-    root: usize,
-    cfg: &SwarmConfig,
-    seed: u64,
-    schedule: PerturbationSchedule,
-) -> BroadcastResult {
-    Swarm::new(routes.clone(), hosts, root, cfg.clone(), seed).with_perturbations(schedule).run()
 }
 
 /// A full measurement campaign: per-iteration outcomes plus the aggregated
@@ -272,21 +257,15 @@ pub fn stream_campaign_with_reliability(
     sink: &mut dyn FnMut(RunObservation),
 ) {
     reliability.validate();
-    let horizon = if reliability.is_off() {
-        0.0
-    } else {
-        horizon_estimate(routes.topology(), hosts, cfg.file_bytes())
-    };
+    let horizon = horizon_estimate(routes.topology(), hosts, cfg.file_bytes());
     let run_one = |k: u32| {
         let seed = seed_for_iteration(base_seed, k as u64);
         let root = root_policy.root_for(k, hosts.len(), base_seed);
-        let outcome = if reliability.is_off() {
-            run_broadcast(routes, hosts, root, cfg, seed)
-        } else {
-            let schedule =
-                generate_schedule(routes.topology(), hosts, root, reliability, horizon, seed);
-            run_broadcast_perturbed(routes, hosts, root, cfg, seed, schedule)
-        };
+        let schedule =
+            generate_schedule(routes.topology(), hosts, root, reliability, horizon, seed);
+        let outcome = Swarm::new(routes.clone(), hosts, root, cfg.clone(), seed)
+            .with_perturbations(schedule)
+            .run();
         RunObservation { iteration: k, root, seed, outcome }
     };
     let workers = resolve_threads(threads);

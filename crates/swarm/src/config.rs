@@ -17,10 +17,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// * `EventDriven` jumps the clock straight from event to event (the fast
 ///   path, and the default);
-/// * `FixedStep` caps every advance at [`SwarmConfig::step`] seconds, which
-///   is required when an external per-step hook injects traffic
-///   ([`Swarm::run_with`](crate::swarm::Swarm::run_with) forces it) and is
-///   what the engine-equivalence tests compare against.
+/// * `FixedStep` caps every advance at [`SwarmConfig::step`] seconds. It is
+///   the reference pacing the engine-equivalence tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DriveMode {
     /// Jump from completion to completion (default).
@@ -66,9 +64,9 @@ pub struct SwarmConfig {
     pub rate_window: f64,
     /// Pacing cap for [`DriveMode::FixedStep`] (seconds). Protocol actions
     /// are event-timed in both modes; this bounds how far a single
-    /// fixed-step slice may advance (e.g. between traffic-hook invocations).
-    /// In both modes it is also the fairness re-solve quantum: flow churn
-    /// is batched and rates re-solved at most once per `step`.
+    /// fixed-step slice may advance. In both modes it is also the fairness
+    /// re-solve quantum: flow churn is batched and rates re-solved at most
+    /// once per `step`.
     pub step: f64,
     /// How runs advance time (see [`DriveMode`]).
     pub drive: DriveMode,

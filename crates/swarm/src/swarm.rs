@@ -36,7 +36,7 @@
 //! Because the engine's state is invariant to how time is sliced and all
 //! protocol actions are keyed to event instants, a fixed-step paced run
 //! ([`crate::config::DriveMode::FixedStep`]) produces **bit-identical**
-//! results — that equivalence is pinned by `tests/equivalence.rs`.
+//! results — that equivalence is pinned by `tests/engine_equivalence.rs`.
 
 use crate::bitfield::Bitfield;
 use crate::config::{DriveMode, SwarmConfig};
@@ -181,9 +181,6 @@ pub struct Swarm {
     have_queue: Vec<(u32, u32)>,
     /// Peers whose dormant pairs should be retried (candidate sets grew).
     retry_queue: Vec<u32>,
-    /// Next simulated instant the external traffic hook is due (hooks are
-    /// contracted to run once per `step` of simulated time, not per event).
-    next_hook: f64,
     /// Live leechers that have not finished downloading yet.
     incomplete: usize,
     /// Currently-crashed incomplete leechers with a scheduled revival — the
@@ -419,7 +416,6 @@ impl Swarm {
             status,
             have_queue: Vec::new(),
             retry_queue: Vec::new(),
-            next_hook: 0.0,
             incomplete: n - 1,
             down_incomplete: 0,
             root,
@@ -448,9 +444,11 @@ impl Swarm {
     }
 
     /// Attaches a reliability perturbation schedule (host churn, link
-    /// degradation, cross-traffic) to this run. Events apply at their exact
-    /// simulated instants in both drive modes, so perturbed runs stay
-    /// byte-identical across [`DriveMode`]s.
+    /// degradation, cross-traffic) to this run; it is the only way competing
+    /// load enters a broadcast, and a cross-traffic stream may run between
+    /// hosts outside the swarm. Events apply at their exact simulated
+    /// instants in both drive modes, so perturbed runs stay byte-identical
+    /// across [`DriveMode`]s.
     pub fn with_perturbations(mut self, schedule: PerturbationSchedule) -> Self {
         self.schedule = schedule;
         self.sched_cursor = 0;
@@ -492,51 +490,22 @@ impl Swarm {
         self.incomplete == 0
     }
 
-    /// Host pairs (uploader, downloader) with a running transfer — protocol
-    /// introspection for tests and diagnostics.
-    pub fn active_transfers(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for d in &self.peers {
-            for nb in &d.nbrs {
-                if nb.transfer.is_some() {
-                    out.push((self.peers[nb.peer as usize].host, d.host));
-                }
-            }
-        }
-        out
-    }
-
     /// Runs protocol timers and advances by at most one fixed step,
     /// processing any fragment completions inside it. Returns the new sim
     /// time. (Manual drivers get fixed-step pacing; `run` jumps
     /// completion-to-completion when the config says so.)
     pub fn step(&mut self) -> f64 {
-        self.step_with(&mut |_| {})
-    }
-
-    /// Like [`step`](Self::step), invoking `hook` on the network before the
-    /// advance. Used to inject competing traffic (e.g.
-    /// [`btt_netsim::traffic::BackgroundTraffic`]) while the broadcast runs.
-    pub fn step_with(&mut self, hook: &mut dyn FnMut(&mut SimNet)) -> f64 {
-        self.slice(self.cfg.step, hook)
+        self.slice(self.cfg.step)
     }
 
     /// One slice of the drive loop: apply due perturbations, run due timers,
-    /// let the hook inject traffic, then advance to the next fragment
-    /// completion — but never past the next rechoke boundary, the next
-    /// scheduled perturbation, nor further than `max_dt` (which may be
-    /// infinite for pure event-driven pacing).
-    fn slice(&mut self, max_dt: f64, hook: &mut dyn FnMut(&mut SimNet)) -> f64 {
+    /// then advance to the next fragment completion — but never past the
+    /// next rechoke boundary, the next scheduled perturbation, nor further
+    /// than `max_dt` (which may be infinite for pure event-driven pacing).
+    fn slice(&mut self, max_dt: f64) -> f64 {
         self.apply_due_perturbations();
         if self.net.time() + 1e-9 >= self.next_rechoke {
             self.on_rechoke();
-        }
-        // The hook contract is one invocation per `step` of simulated time
-        // (the legacy engine's cadence) — NOT per event; slices stop at
-        // every fragment completion, which can be hundreds of times denser.
-        if self.net.time() + 1e-9 >= self.next_hook {
-            hook(&mut self.net);
-            self.next_hook = self.net.time() + self.cfg.step;
         }
         let mut deadline = if max_dt.is_finite() {
             self.next_rechoke.min(self.net.time() + max_dt)
@@ -1404,20 +1373,7 @@ impl Swarm {
         };
         while self.incomplete + self.down_incomplete > 0 && self.net.time() < self.cfg.max_sim_time
         {
-            self.slice(max_dt, &mut |_| {});
-        }
-        self.into_outcome()
-    }
-
-    /// Like [`run`](Self::run), invoking `hook` once per
-    /// [`SwarmConfig::step`] of simulated time — the entry point for
-    /// measuring under background load. Pacing is fixed-step regardless of
-    /// [`SwarmConfig::drive`] so injected traffic tracks simulated time,
-    /// never event density.
-    pub fn run_with(mut self, hook: &mut dyn FnMut(&mut SimNet)) -> RunOutcome {
-        while self.incomplete + self.down_incomplete > 0 && self.net.time() < self.cfg.max_sim_time
-        {
-            self.slice(self.cfg.step, hook);
+            self.slice(max_dt);
         }
         self.into_outcome()
     }
@@ -1664,30 +1620,51 @@ mod tests {
     }
 
     #[test]
-    fn background_load_slows_the_broadcast_but_it_still_completes() {
-        use btt_netsim::traffic::{BackgroundTraffic, TrafficConfig};
-        let (routes, hosts) = star_hosts(8, 890.0);
-        let quiet = Swarm::new(routes.clone(), &hosts, 0, quick_cfg(4096), 3).run();
+    fn bystander_cross_traffic_slows_the_broadcast() {
+        use btt_netsim::perturb::{Perturbation, PerturbationSchedule, TimedPerturbation};
+        // Two switches joined by one 200 Mb/s link; each side has three
+        // swarm hosts and two bystanders outside the swarm.
+        let mut b = TopologyBuilder::new();
+        let left = b.add_switch("left", "s");
+        let right = b.add_switch("right", "s");
+        b.link(left, right, LinkSpec::lan(Bandwidth::from_mbps(200.0)));
+        let mut side = |sw: NodeId, tag: &str| -> Vec<NodeId> {
+            (0..5)
+                .map(|i| {
+                    let h = b.add_host(format!("{tag}{i}"), "s", tag);
+                    b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
+                    h
+                })
+                .collect()
+        };
+        let l = side(left, "l");
+        let r = side(right, "r");
+        let routes = Arc::new(RouteTable::new(Arc::new(b.build().unwrap())));
+        let hosts = [&l[..3], &r[..3]].concat();
+        let quiet = Swarm::new(routes.clone(), &hosts, 0, quick_cfg(512), 3).run();
         assert!(quiet.finished);
-
-        // Heavy, immediately-on competing load.
-        let mut bg = BackgroundTraffic::new(
-            &hosts,
-            TrafficConfig { mean_on: 30.0, mean_off: 0.01, pairs: 12 },
-            99,
-        );
+        // One always-on bystander stream across the shared link each way.
+        let schedule = PerturbationSchedule::new(vec![
+            TimedPerturbation {
+                at: 0.0,
+                what: Perturbation::XTrafficStart { src: l[3], dst: r[3], key: 0 },
+            },
+            TimedPerturbation {
+                at: 0.0,
+                what: Perturbation::XTrafficStart { src: r[4], dst: l[4], key: 1 },
+            },
+        ]);
         let loaded =
-            Swarm::new(routes, &hosts, 0, quick_cfg(4096), 3).run_with(&mut |net| bg.tick(net));
-        assert!(loaded.finished, "must complete under load");
+            Swarm::new(routes, &hosts, 0, quick_cfg(512), 3).with_perturbations(schedule).run();
+        assert!(loaded.finished, "must still complete under load");
         assert!(
             loaded.makespan > quiet.makespan,
-            "competing traffic should cost time: {} vs {}",
+            "bystander traffic on a shared link should cost time: {} vs {}",
             loaded.makespan,
             quiet.makespan
         );
-        // Conservation still holds under load.
-        for d in 1..8 {
-            assert_eq!(loaded.fragments.received_by(d), 4096);
+        for d in 1..6 {
+            assert_eq!(loaded.fragments.received_by(d), 512, "conservation under load");
         }
     }
 
