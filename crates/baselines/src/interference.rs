@@ -77,7 +77,7 @@ pub fn interference_probing(
     let n = hosts.len();
     assert!(n >= 4, "interference tests need at least two disjoint pairs");
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut net = SimNet::with_routes(routes.topology().clone(), routes.clone());
+    let mut net = SimNet::with_routes(routes.clone());
     let mut cost = MeasurementCost::default();
 
     // Phase 1: isolated baselines (the Fig. 2 step 1).

@@ -52,7 +52,7 @@ pub fn netpipe(
     secs_per_rep: f64,
 ) -> NetpipeResult {
     assert!(reps >= 1 && secs_per_rep > 0.0);
-    let mut net = SimNet::with_routes(routes.topology().clone(), routes.clone());
+    let mut net = SimNet::with_routes(routes.clone());
     let mut samples = Vec::with_capacity(reps);
     let mut bytes = 0.0;
     for _ in 0..reps {
@@ -87,7 +87,7 @@ pub fn block_size_sweep(
     let mut out = Vec::with_capacity(block_sizes.len());
     for &size in block_sizes {
         assert!(size > 0.0);
-        let mut net = SimNet::with_routes(routes.topology().clone(), routes.clone());
+        let mut net = SimNet::with_routes(routes.clone());
         let t0 = net.time();
         net.start_flow(a, b, Some(size), 1);
         let done = net.run_bounded_to_completion(3600.0);

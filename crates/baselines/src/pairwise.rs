@@ -59,7 +59,7 @@ pub fn pairwise_probing(
     let n = hosts.len();
     let mut bw = vec![vec![0.0; n]; n];
     let mut cost = MeasurementCost::default();
-    let mut net = SimNet::with_routes(routes.topology().clone(), routes.clone());
+    let mut net = SimNet::with_routes(routes.clone());
     for a in 0..n {
         for b in (a + 1)..n {
             let f = net.start_flow(hosts[a], hosts[b], None, 0);

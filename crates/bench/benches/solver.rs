@@ -107,9 +107,9 @@ fn bench_degrade(c: &mut Criterion) {
 
 /// Dirty-set shape: the same number of dirtied flows packed into one
 /// connected component (dense — every flow shares the backbone) vs spread
-/// over independent intra-cluster components (sparse — the shape the
-/// component-parallel path dispatches). Serial and parallel modes are both
-/// timed on the sparse shape, pinning the dispatch overhead.
+/// over independent intra-cluster components (sparse — one resolve
+/// discovers and water-fills several components in turn, over the same
+/// scratch).
 fn bench_dirty_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver/dirty-set");
     let (topo, rt) = build(8, 16);
@@ -142,27 +142,24 @@ fn bench_dirty_shape(c: &mut Criterion) {
         })
         .filter(|r| !r.is_empty())
         .collect();
-    for (mode, label) in [(false, "sparse-serial"), (true, "sparse-parallel")] {
-        group.bench_function(label, |bch| {
-            let mut solver = IncrementalMaxMin::new(topo.channel_capacities());
-            solver.set_parallel(Some(mode));
-            for (i, r) in intra.iter().enumerate() {
-                solver.insert(i as u64, r, None);
+    group.bench_function("sparse-many-components", |bch| {
+        let mut solver = IncrementalMaxMin::new(topo.channel_capacities());
+        for (i, r) in intra.iter().enumerate() {
+            solver.insert(i as u64, r, None);
+        }
+        solver.resolve();
+        let mut next_id = intra.len() as u64;
+        let mut victim = 0u64;
+        bch.iter(|| {
+            for k in 0..16 {
+                solver.remove(victim);
+                victim += 1;
+                solver.insert(next_id, &intra[(next_id as usize + k) % intra.len()], None);
+                next_id += 1;
             }
-            solver.resolve();
-            let mut next_id = intra.len() as u64;
-            let mut victim = 0u64;
-            bch.iter(|| {
-                for k in 0..16 {
-                    solver.remove(victim);
-                    victim += 1;
-                    solver.insert(next_id, &intra[(next_id as usize + k) % intra.len()], None);
-                    next_id += 1;
-                }
-                solver.resolve().0.len()
-            });
+            solver.resolve().0.len()
         });
-    }
+    });
     group.finish();
 }
 

@@ -983,17 +983,25 @@ mod tests {
             assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
         }
 
-        // A spec too large to build is refused naming the limit, and the
-        // daemon keeps answering.
-        let huge = Json::obj(vec![("scenario", Json::Str("wan:100000x100000".to_string()))]);
-        let resp = client.request(&ServeClient::envelope("submit", vec![("job", huge)])).unwrap();
-        let err = resp.get("error").expect("submit must fail");
-        assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_job_spec"));
-        assert_eq!(err.get("field").and_then(Json::as_str), Some("scenario"));
-        let message = err.get("message").and_then(Json::as_str).unwrap();
-        assert!(message.contains("MAX_SCENARIO_HOSTS = 65536"), "{message}");
-        let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
-        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+        // Specs too large to build, or that parse but cannot run (one
+        // host, a capacity that overflows), are refused naming the limit,
+        // and the daemon keeps answering.
+        for (spec, limit) in [
+            ("wan:100000x100000", "MAX_SCENARIO_HOSTS = 65536"),
+            ("wan:1x1", "MIN_SCENARIO_HOSTS = 2"),
+            ("wan:2x2:0.5:1e308", "SCENARIO_ACCESS_MBPS_RANGE"),
+        ] {
+            let job = Json::obj(vec![("scenario", Json::Str(spec.to_string()))]);
+            let resp =
+                client.request(&ServeClient::envelope("submit", vec![("job", job)])).unwrap();
+            let err = resp.get("error").expect("submit must fail");
+            assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_job_spec"));
+            assert_eq!(err.get("field").and_then(Json::as_str), Some("scenario"));
+            let message = err.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(limit), "{spec}: {message}");
+            let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
+            assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+        }
 
         // Unknown job / report-before-complete.
         let resp = client

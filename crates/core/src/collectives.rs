@@ -49,7 +49,7 @@ pub fn flat_binomial_broadcast(
 ) -> CollectiveResult {
     assert!(!order.is_empty());
     let index_of = index_map(order, clusters);
-    let mut net = SimNet::with_routes(routes.topology().clone(), routes.clone());
+    let mut net = SimNet::with_routes(routes.clone());
     let mut holders: Vec<NodeId> = vec![order[0]];
     let mut pending: std::collections::VecDeque<NodeId> = order[1..].iter().copied().collect();
     let mut rounds = 0;
@@ -86,7 +86,7 @@ pub fn cluster_aware_broadcast(
 ) -> CollectiveResult {
     assert_eq!(members.len(), clusters.len(), "one cluster id per rank");
     assert!(root_rank < members.len());
-    let mut net = SimNet::with_routes(routes.topology().clone(), routes.clone());
+    let mut net = SimNet::with_routes(routes.clone());
     let root_cluster = clusters.cluster_of(root_rank);
     let groups = clusters.clusters();
 

@@ -20,6 +20,7 @@ use btt_cluster::partition::Partition;
 use btt_netsim::grid5000::Grid5000;
 use btt_netsim::perturb::ReliabilityCfg;
 use btt_netsim::synthetic::{FatTree, HeteroWan, StarOfStars};
+use std::ops::RangeInclusive;
 
 /// Default iteration count for synthetic scenarios (sweeps favour breadth
 /// over per-scenario depth; the paper's Fig. 13 shows convergence well
@@ -35,6 +36,20 @@ pub const MAX_SCENARIO_HOSTS: usize = 65_536;
 /// 4 B per pair of them, so this caps the route table at 64 MB; the largest
 /// preset, `fat-tree-4k`, has 273.
 pub const MAX_SCENARIO_SWITCHES: usize = 4_096;
+
+/// Fewest hosts a synthetic spec may ask for: a broadcast needs a seed and
+/// at least one leecher.
+pub const MIN_SCENARIO_HOSTS: usize = 2;
+
+/// Range of every ratio in a synthetic spec: fat-tree oversubscriptions,
+/// star uplink ratios and WAN bottleneck ratios. The presets use 0.25 to 4.
+/// Capacities scale with a ratio, so the range keeps every link capacity
+/// finite and nonzero at any spec size the host caps allow.
+pub const SCENARIO_RATIO_RANGE: RangeInclusive<f64> = 0.001..=1000.0;
+
+/// Range of a WAN spec's host access speed, in Mb/s: 100 kb/s to 100 Gb/s.
+/// The presets use 2, 20 and the default 890.
+pub const SCENARIO_ACCESS_MBPS_RANGE: RangeInclusive<f64> = 0.1..=100_000.0;
 
 /// A buildable scenario: a paper dataset or a synthetic topology family
 /// member.
@@ -186,15 +201,9 @@ impl ScenarioSpec {
                 .filter(|&n| n > 0)
                 .ok_or_else(|| format!("{text:?}: expected positive integer dimensions"))
         };
-        let ratio = |i: usize, default: f64| -> Result<f64, String> {
-            match parts.get(i) {
-                None => Ok(default),
-                Some(s) => s
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .ok_or_else(|| format!("{text:?}: bad ratio {s:?}")),
-            }
+        let ratio = |i: usize, default: f64| match parts.get(i) {
+            None => Ok(default),
+            Some(s) => in_range(text, s, "ratio", "SCENARIO_RATIO_RANGE", &SCENARIO_RATIO_RANGE),
         };
         match kind.to_ascii_lowercase().as_str() {
             "fat-tree" | "fattree" => {
@@ -256,7 +265,16 @@ impl ScenarioSpec {
                     sites,
                     hosts,
                     bottleneck_ratio: ratio(1, 0.5)?,
-                    access_mbps: ratio(2, btt_netsim::synthetic::SYNTH_ACCESS_MBPS)?,
+                    access_mbps: match parts.get(2) {
+                        None => btt_netsim::synthetic::SYNTH_ACCESS_MBPS,
+                        Some(s) => in_range(
+                            text,
+                            s,
+                            "access speed",
+                            "SCENARIO_ACCESS_MBPS_RANGE",
+                            &SCENARIO_ACCESS_MBPS_RANGE,
+                        )?,
+                    },
                 })
             }
             other => Err(format!("unknown scenario family {other:?}")),
@@ -379,10 +397,36 @@ impl ScenarioSpec {
     }
 }
 
-/// Rejects a synthetic network with more than [`MAX_SCENARIO_HOSTS`] hosts
-/// or [`MAX_SCENARIO_SWITCHES`] switches and routers. Callers count with
+/// Parses spec parameter `s` as a number inside `range`, which the error
+/// names as `name`.
+fn in_range(
+    text: &str,
+    s: &str,
+    what: &str,
+    name: &str,
+    range: &RangeInclusive<f64>,
+) -> Result<f64, String> {
+    let v = s.parse::<f64>().map_err(|_| format!("{text:?}: bad {what} {s:?}"))?;
+    if !range.contains(&v) {
+        return Err(format!(
+            "{text:?}: {what} {s:?} outside {name} = [{}, {}]",
+            range.start(),
+            range.end()
+        ));
+    }
+    Ok(v)
+}
+
+/// Rejects a synthetic network with fewer than [`MIN_SCENARIO_HOSTS`] or
+/// more than [`MAX_SCENARIO_HOSTS`] hosts, or more than
+/// [`MAX_SCENARIO_SWITCHES`] switches and routers. Callers count with
 /// saturating arithmetic, so a count that overflows reads as too large.
 fn check_size(text: &str, hosts: usize, switches: usize) -> Result<(), String> {
+    if hosts < MIN_SCENARIO_HOSTS {
+        return Err(format!(
+            "{text:?}: fewer than MIN_SCENARIO_HOSTS = {MIN_SCENARIO_HOSTS} hosts"
+        ));
+    }
     if hosts > MAX_SCENARIO_HOSTS {
         return Err(format!("{text:?}: more than MAX_SCENARIO_HOSTS = {MAX_SCENARIO_HOSTS} hosts"));
     }
@@ -492,6 +536,50 @@ mod tests {
         // The limits themselves are allowed.
         assert!(ScenarioSpec::parse("wan:1x65536").is_ok());
         assert!(ScenarioSpec::parse("star:4095x16:0.25:16").is_ok());
+    }
+
+    #[test]
+    fn unrunnable_specs_are_rejected_naming_the_limit() {
+        for (text, limit) in [
+            // One host: no leecher to broadcast to.
+            ("wan:1x1", "MIN_SCENARIO_HOSTS = 2"),
+            ("fat-tree:1x1x1", "MIN_SCENARIO_HOSTS = 2"),
+            ("wan:1x1+churn=0.1", "MIN_SCENARIO_HOSTS = 2"),
+            // Capacities that overflow to infinity or underflow to zero.
+            ("wan:2x2:1e308", "SCENARIO_RATIO_RANGE = [0.001, 1000]"),
+            ("star:2x2:1e308", "SCENARIO_RATIO_RANGE = [0.001, 1000]"),
+            ("fat-tree:2x2x2:4:1e-300", "SCENARIO_RATIO_RANGE = [0.001, 1000]"),
+            ("wan:2x2:1e-300:1e-300", "SCENARIO_RATIO_RANGE = [0.001, 1000]"),
+            ("wan:2x2:0.5:1e308", "SCENARIO_ACCESS_MBPS_RANGE = [0.1, 100000]"),
+            // Runs, but its 300-digit id is too long for a file name.
+            ("wan:2x2:0.5:1e300", "SCENARIO_ACCESS_MBPS_RANGE = [0.1, 100000]"),
+            ("wan:2x2:NaN", "SCENARIO_RATIO_RANGE = [0.001, 1000]"),
+            ("wan:2x2:0.5:inf", "SCENARIO_ACCESS_MBPS_RANGE = [0.1, 100000]"),
+        ] {
+            let err = ScenarioSpec::parse(text).expect_err(text);
+            assert!(err.contains(limit), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn specs_at_the_range_edges_build_and_run() {
+        for text in [
+            "wan:2x1",
+            "fat-tree:1x1x2",
+            "star:1x1:0.25:1",
+            "wan:2x1:0.001:0.1",
+            "wan:2x1:1000:100000",
+            "fat-tree:1x1x2:0.001:1000",
+            "fat-tree:1x2x1:1000:0.001",
+            "star:1x1:0.001:1",
+            "star:1x1:1000:1",
+        ] {
+            let spec = ScenarioSpec::parse(text).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(ScenarioSpec::parse(&spec.id()).unwrap(), spec, "{text}");
+            let report =
+                TomographySession::over(spec.build()).iterations(1).pieces(4).seed(1).run();
+            assert_eq!(report.scenario_id, spec.id());
+        }
     }
 
     #[test]

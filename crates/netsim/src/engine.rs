@@ -116,7 +116,7 @@ struct ActiveFlow {
     gen: u64,
     /// Whether a live calendar entry exists for this flow. Lets small rate
     /// changes keep their slightly-stale entry (see the undershoot guard in
-    /// `advance_until`) instead of re-keying the heap on every re-solve.
+    /// `SimNet::run_until`) instead of re-keying the heap on every re-solve.
     scheduled: bool,
     /// The rate the live calendar entry was keyed under: the material-change
     /// test compares against this (not the previous re-solve's rate), so
@@ -441,13 +441,13 @@ pub struct SimNet {
 impl SimNet {
     /// Builds a network over `topo`, computing all-pairs routes.
     pub fn new(topo: Arc<Topology>) -> Self {
-        let routes = Arc::new(RouteTable::new(topo.clone()));
-        Self::with_routes(topo, routes)
+        Self::with_routes(Arc::new(RouteTable::new(topo)))
     }
 
-    /// Builds a network reusing a precomputed route table (cheap for repeated
-    /// broadcast iterations over the same topology).
-    pub fn with_routes(topo: Arc<Topology>, routes: Arc<RouteTable>) -> Self {
+    /// Builds a network over the route table's topology, reusing the table
+    /// (cheap for repeated broadcast iterations over the same topology).
+    pub fn with_routes(routes: Arc<RouteTable>) -> Self {
+        let topo = routes.topology().clone();
         let channels = topo.num_channels();
         let mut chan_latency = vec![0.0; channels];
         for l in 0..topo.num_links() {
@@ -763,26 +763,21 @@ impl SimNet {
     /// reached is independent of how callers slice `dt`.
     pub fn advance(&mut self, dt: SimTime) -> Vec<Completion> {
         assert!(dt >= 0.0 && dt.is_finite(), "advance requires a finite non-negative dt");
-        let deadline = self.time + dt;
-        self.advance_until(deadline)
-    }
-
-    /// Like [`advance`](Self::advance) but to an **absolute** clock value:
-    /// after the call `time() == deadline` exactly (unless the clock is
-    /// already past it, which is a no-op). Drivers that must land on shared
-    /// boundary instants (e.g. protocol timers) use this so the boundary's
-    /// clock value does not depend on how the approach was sliced.
-    pub fn advance_until(&mut self, deadline: SimTime) -> Vec<Completion> {
         let mut out = Vec::new();
-        self.advance_until_into(deadline, &mut out);
+        self.advance_until_into(self.time + dt, &mut out);
         out
     }
 
-    /// [`advance_until`](Self::advance_until) appending into a caller-owned
-    /// buffer (not cleared), so completion-driven drivers reuse one
-    /// allocation across the millions of advances in a measurement campaign.
+    /// Like [`advance`](Self::advance) but to an **absolute** clock value,
+    /// appending the events into a caller-owned buffer (not cleared), so
+    /// completion-driven drivers reuse one allocation across the millions
+    /// of advances in a measurement campaign. After the call
+    /// `time() == deadline` exactly (unless the clock is already past it,
+    /// which is a no-op). Drivers that must land on shared boundary instants
+    /// (e.g. protocol timers) use this so the boundary's clock value does
+    /// not depend on how the approach was sliced.
     pub fn advance_until_into(&mut self, deadline: SimTime, out: &mut Vec<Completion>) {
-        assert!(deadline.is_finite(), "advance_until requires a finite deadline");
+        assert!(deadline.is_finite(), "advance_until_into requires a finite deadline");
         let t0 = std::time::Instant::now();
         self.run_until(deadline, out);
         self.core.get_mut().prof.advance_ns += t0.elapsed().as_nanos() as u64;
@@ -904,21 +899,15 @@ impl SimNet {
     /// layer uses instead of fixed stepping.
     pub fn advance_to_next_event(&mut self, max_dt: SimTime) -> Vec<Completion> {
         assert!(max_dt >= 0.0, "advance_to_next_event requires a non-negative horizon");
-        self.advance_to_next_event_until(self.time + max_dt)
-    }
-
-    /// Like [`advance_to_next_event`](Self::advance_to_next_event) with an
-    /// **absolute** deadline (see [`advance_until`](Self::advance_until) for
-    /// why absolute boundaries matter to deterministic drivers).
-    pub fn advance_to_next_event_until(&mut self, deadline: SimTime) -> Vec<Completion> {
         let mut out = Vec::new();
-        self.advance_to_next_event_until_into(deadline, &mut out);
+        self.advance_to_next_event_until_into(self.time + max_dt, &mut out);
         out
     }
 
-    /// [`advance_to_next_event_until`](Self::advance_to_next_event_until)
-    /// appending into a caller-owned buffer (not cleared); see
-    /// [`advance_until_into`](Self::advance_until_into).
+    /// Like [`advance_to_next_event`](Self::advance_to_next_event) with an
+    /// **absolute** deadline, appending into a caller-owned buffer (not
+    /// cleared); see [`advance_until_into`](Self::advance_until_into) for
+    /// why absolute boundaries matter to deterministic drivers.
     pub fn advance_to_next_event_until_into(
         &mut self,
         deadline: SimTime,

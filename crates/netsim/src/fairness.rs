@@ -185,7 +185,7 @@ impl PartialOrd for ShareKey {
 ///
 /// The engine registers every active flow; each insert/remove marks the
 /// flow's channels dirty. [`IncrementalMaxMin::resolve`] then re-runs
-/// water-filling over the dirty connected component only, reporting which
+/// water-filling over the dirty connected components only, reporting which
 /// flows changed rate and which channels were touched — everything else
 /// keeps its previous (still exact) allocation.
 ///
@@ -211,58 +211,26 @@ pub struct IncrementalMaxMin {
     /// Per-channel visitation stamp and local index for component solves.
     chan_stamp: Vec<u32>,
     chan_local: Vec<u32>,
-    // Persistent scratch (component-local), reused across resolves.
-    comp_slots: Vec<u32>,
+    /// Channels of every component re-solved by the current resolve, in
+    /// discovery order (the touched-channel list it returns).
     comp_chans: Vec<u32>,
-    /// `(chan_start, slot_start)` into `comp_chans`/`comp_slots` per
-    /// discovered component; a component's range ends where the next begins.
-    comp_bounds: Vec<(u32, u32)>,
-    residual: Vec<f64>,
-    load: Vec<u32>,
+    /// Slab slots of the component being solved, ascending flow id.
+    comp_slots: Vec<u32>,
     changed: Vec<(u64, f64)>,
-    rates_scratch: Vec<f64>,
-    frozen_scratch: Vec<bool>,
-    /// Per-component heap arenas, one per concurrently solved component.
-    arenas: Vec<CompArena>,
-    /// Parallel water-fill policy: `Some(force)` from
-    /// `BTT_PARALLEL_SOLVER` / [`IncrementalMaxMin::set_parallel`],
-    /// `None` = auto (multi-core machine, several components, enough work).
-    parallel: Option<bool>,
-    /// Cores available at construction (auto-mode gate).
-    cores: usize,
+    fill: FillScratch,
     prof: crate::prof::SolverProf,
 }
 
-/// Reusable per-component heap pair for the water-filling loop.
+/// Water-fill scratch for one component, reused by every component of
+/// every resolve; [`solve_component`] resets it on entry.
 #[derive(Debug, Default)]
-struct CompArena {
+struct FillScratch {
+    residual: Vec<f64>,
+    load: Vec<u32>,
+    rates: Vec<f64>,
+    frozen: Vec<bool>,
     chan_heap: std::collections::BinaryHeap<ShareKey>,
     cap_heap: std::collections::BinaryHeap<ShareKey>,
-}
-
-/// One component's slice of the solve: borrowed views plus disjoint mutable
-/// scratch, shippable to a worker thread.
-struct CompWork<'a> {
-    /// Global channel ids of this component (discovery order == local index).
-    chans: &'a [u32],
-    /// Slab slots of this component's flows, ascending flow id.
-    flows: &'a [u32],
-    residual: &'a mut [f64],
-    load: &'a mut [u32],
-    rates: &'a mut [f64],
-    frozen: &'a mut [bool],
-    arena: &'a mut CompArena,
-}
-
-/// Parses the `BTT_PARALLEL_SOLVER` override: `1`/`true`/`on` forces the
-/// parallel water-fill path, `0`/`false`/`off` forces serial, anything else
-/// (or unset) leaves the solver in auto mode.
-fn parallel_override_from_env() -> Option<bool> {
-    match std::env::var("BTT_PARALLEL_SOLVER").ok().as_deref() {
-        Some("1") | Some("true") | Some("on") => Some(true),
-        Some("0") | Some("false") | Some("off") => Some(false),
-        _ => None,
-    }
 }
 
 impl IncrementalMaxMin {
@@ -281,29 +249,12 @@ impl IncrementalMaxMin {
             epoch: 0,
             chan_stamp: vec![0; n],
             chan_local: vec![0; n],
-            comp_slots: Vec::new(),
             comp_chans: Vec::new(),
-            comp_bounds: Vec::new(),
-            residual: Vec::new(),
-            load: Vec::new(),
+            comp_slots: Vec::new(),
             changed: Vec::new(),
-            rates_scratch: Vec::new(),
-            frozen_scratch: Vec::new(),
-            arenas: Vec::new(),
-            parallel: parallel_override_from_env(),
-            cores: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+            fill: FillScratch::default(),
             prof: crate::prof::SolverProf::default(),
         }
-    }
-
-    /// Overrides the parallel water-fill policy: `Some(true)` forces the
-    /// multi-threaded component dispatch, `Some(false)` forces serial,
-    /// `None` restores auto. Construction reads the same switch from the
-    /// `BTT_PARALLEL_SOLVER` environment variable (`1`/`0`). Both paths run
-    /// the identical per-component water-fill, so rates are bit-identical
-    /// either way.
-    pub fn set_parallel(&mut self, mode: Option<bool>) {
-        self.parallel = mode;
     }
 
     /// Snapshot of this solver's attribution counters.
@@ -442,17 +393,13 @@ impl IncrementalMaxMin {
     /// rate may have changed). Returns empty slices when nothing was dirty.
     ///
     /// Components are discovered one at a time (BFS over the channel↔flow
-    /// sharing graph from each unstamped dirty seed) and water-filled
-    /// independently — serially, or concurrently when several components
-    /// carry enough work (see [`IncrementalMaxMin::set_parallel`]). Either
-    /// way the per-component arithmetic is the identical code path and
-    /// results merge in component-discovery order, so rates are
-    /// bit-identical no matter how the solve is dispatched.
+    /// sharing graph from each unstamped dirty seed), and each is
+    /// water-filled on the calling thread as soon as it is found, over one
+    /// reused set of scratch buffers. Both lists are grouped by component
+    /// in discovery order.
     pub fn resolve(&mut self) -> (&[(u64, f64)], &[u32]) {
         self.changed.clear();
         self.comp_chans.clear();
-        self.comp_slots.clear();
-        self.comp_bounds.clear();
         if self.dirty.is_empty() {
             return (&self.changed, &self.comp_chans);
         }
@@ -466,20 +413,19 @@ impl IncrementalMaxMin {
             }
             self.epoch = 1;
         }
-        // --- Component discovery: one BFS per unstamped dirty seed. Every
-        // flow of every reached channel joins, and with it every channel of
-        // its route, so component channels carry component flows only.
-        // `chan_local` / `SolvedFlow::local` are assigned *component-local*
-        // indices (discovery order), so each component can be water-filled
-        // against its own slice of the scratch arrays.
         for di in 0..self.dirty.len() {
             let seed = self.dirty[di] as usize;
             self.dirty_mask[seed] = false;
             if self.chan_stamp[seed] == self.epoch {
                 continue;
             }
+            // --- Component discovery: BFS from the seed. Every flow of
+            // every reached channel joins, and with it every channel of its
+            // route, so component channels carry component flows only.
+            // `chan_local` / `SolvedFlow::local` are assigned
+            // *component-local* indices (discovery order) into the scratch.
             let chan_start = self.comp_chans.len();
-            let slot_start = self.comp_slots.len();
+            self.comp_slots.clear();
             self.chan_stamp[seed] = self.epoch;
             self.chan_local[seed] = 0;
             self.comp_chans.push(seed as u32);
@@ -509,111 +455,35 @@ impl IncrementalMaxMin {
             }
             // Canonical solve order: ascending flow id (== creation order),
             // so the arithmetic is independent of dirty-set construction
-            // order. Sorting per component preserves the relative order the
-            // old merged sort produced, which keeps tie-breaks — and hence
-            // every float — identical.
+            // order.
             let slots_ref = &self.slots;
-            self.comp_slots[slot_start..].sort_unstable_by_key(|&s| slots_ref[s as usize].id);
-            for i in slot_start..self.comp_slots.len() {
-                let slot = self.comp_slots[i];
-                self.slots[slot as usize].local = (i - slot_start) as u32;
+            self.comp_slots.sort_unstable_by_key(|&s| slots_ref[s as usize].id);
+            for (i, &slot) in self.comp_slots.iter().enumerate() {
+                self.slots[slot as usize].local = i as u32;
             }
-            self.comp_bounds.push((chan_start as u32, slot_start as u32));
+            self.prof.components += 1;
+            self.prof.comp_flows += self.comp_slots.len() as u64;
+            self.prof.comp_chans += (self.comp_chans.len() - chan_start) as u64;
+
+            // --- Water-fill it and report its changed flows.
+            self.prof.waterfill_rounds += solve_component(
+                &self.caps,
+                &self.members,
+                &self.slots,
+                &self.chan_local,
+                &self.comp_chans[chan_start..],
+                &self.comp_slots,
+                &mut self.fill,
+            );
+            for (&slot, &rate) in self.comp_slots.iter().zip(&self.fill.rates) {
+                let f = &mut self.slots[slot as usize];
+                if f.rate != rate {
+                    f.rate = rate;
+                    self.changed.push((f.id, rate));
+                }
+            }
         }
         self.dirty.clear();
-
-        let nc = self.comp_chans.len();
-        let nf = self.comp_slots.len();
-        let ncomp = self.comp_bounds.len();
-        self.prof.components += ncomp as u64;
-        self.prof.comp_flows += nf as u64;
-        self.prof.comp_chans += nc as u64;
-
-        // --- Water-filling per component over disjoint scratch slices.
-        self.residual.clear();
-        self.residual.resize(nc, 0.0);
-        self.load.clear();
-        self.load.resize(nc, 0);
-        self.rates_scratch.clear();
-        self.rates_scratch.resize(nf, 0.0);
-        self.frozen_scratch.clear();
-        self.frozen_scratch.resize(nf, false);
-        let mut residual = std::mem::take(&mut self.residual);
-        let mut load = std::mem::take(&mut self.load);
-        let mut rates = std::mem::take(&mut self.rates_scratch);
-        let mut frozen = std::mem::take(&mut self.frozen_scratch);
-        let mut arenas = std::mem::take(&mut self.arenas);
-        while arenas.len() < ncomp.max(1) {
-            arenas.push(CompArena::default());
-        }
-
-        let go_parallel = match self.parallel {
-            Some(force) => force && ncomp > 1,
-            None => self.cores > 1 && ncomp > 1 && nf >= 256,
-        };
-        let caps = &self.caps;
-        let members = &self.members;
-        let slots = &self.slots;
-        let chan_local = &self.chan_local;
-        // Carve one CompWork per component out of the merged scratch.
-        let mut work: Vec<CompWork<'_>> = Vec::with_capacity(ncomp);
-        {
-            let mut res_rest = &mut residual[..];
-            let mut load_rest = &mut load[..];
-            let mut rates_rest = &mut rates[..];
-            let mut frozen_rest = &mut frozen[..];
-            let mut arena_rest = &mut arenas[..];
-            for k in 0..ncomp {
-                let (cs, ss) = self.comp_bounds[k];
-                let (ce, se) =
-                    if k + 1 < ncomp { self.comp_bounds[k + 1] } else { (nc as u32, nf as u32) };
-                let (res, rr) = res_rest.split_at_mut((ce - cs) as usize);
-                let (ld, lr) = load_rest.split_at_mut((ce - cs) as usize);
-                let (rt, tr) = rates_rest.split_at_mut((se - ss) as usize);
-                let (fz, fr) = frozen_rest.split_at_mut((se - ss) as usize);
-                let (ar, arest) = arena_rest.split_at_mut(1);
-                res_rest = rr;
-                load_rest = lr;
-                rates_rest = tr;
-                frozen_rest = fr;
-                arena_rest = arest;
-                work.push(CompWork {
-                    chans: &self.comp_chans[cs as usize..ce as usize],
-                    flows: &self.comp_slots[ss as usize..se as usize],
-                    residual: res,
-                    load: ld,
-                    rates: rt,
-                    frozen: fz,
-                    arena: &mut ar[0],
-                });
-            }
-        }
-        let rounds: u64 = if go_parallel {
-            self.prof.parallel_resolves += 1;
-            use rayon::prelude::*;
-            let per: Vec<u64> = work
-                .into_par_iter()
-                .map(|w| solve_component(caps, members, slots, chan_local, w))
-                .collect();
-            per.into_iter().sum()
-        } else {
-            work.into_iter().map(|w| solve_component(caps, members, slots, chan_local, w)).sum()
-        };
-        self.prof.waterfill_rounds += rounds;
-        self.arenas = arenas;
-        self.residual = residual;
-        self.load = load;
-        self.frozen_scratch = frozen;
-        // Merge in component-id order: `comp_slots` is grouped by component,
-        // so one pass over it reports changed flows component by component.
-        for (i, &slot) in self.comp_slots.iter().enumerate() {
-            let f = &mut self.slots[slot as usize];
-            if f.rate != rates[i] {
-                f.rate = rates[i];
-                self.changed.push((f.id, rates[i]));
-            }
-        }
-        self.rates_scratch = rates;
         (&self.changed, &self.comp_chans)
     }
 }
@@ -625,38 +495,46 @@ impl IncrementalMaxMin {
 /// levels visits each channel a bounded number of times; total cost is
 /// O((flows × route + chans) × log) instead of rounds × component scans.
 ///
-/// All indices in `w` are component-local: `w.chans[lc]` is the global
-/// channel id at local index `lc` (and `chan_local` inverts that for the
-/// component's channels), `SolvedFlow::local` indexes `w.rates`/`w.frozen`.
-/// Returns the number of freeze rounds processed (profiling).
+/// All indices are component-local: `chans[lc]` is the global channel id
+/// at local index `lc` (and `chan_local` inverts that for the component's
+/// channels), `SolvedFlow::local` indexes `fill.rates`/`fill.frozen`. The
+/// rates land in `fill.rates`, in `flows` order. Returns the number of
+/// freeze rounds processed (profiling).
 fn solve_component(
     caps: &[f64],
     members: &[Vec<u32>],
     slots: &[SolvedFlow],
     chan_local: &[u32],
-    w: CompWork<'_>,
+    chans: &[u32],
+    flows: &[u32],
+    fill: &mut FillScratch,
 ) -> u64 {
-    let CompWork { chans, flows, residual, load, rates, frozen, arena } = w;
+    let FillScratch { residual, load, rates, frozen, chan_heap, cap_heap } = fill;
     let nc = chans.len();
-    for (lc, &c) in chans.iter().enumerate() {
-        residual[lc] = caps[c as usize];
-    }
+    residual.clear();
+    residual.extend(chans.iter().map(|&c| caps[c as usize]));
+    load.clear();
+    load.resize(nc, 0);
+    rates.clear();
+    rates.resize(flows.len(), 0.0);
+    frozen.clear();
+    frozen.resize(flows.len(), false);
     for &slot in flows {
         for ch in slots[slot as usize].route.iter() {
             load[chan_local[ch.idx()] as usize] += 1;
         }
     }
-    arena.chan_heap.clear();
+    chan_heap.clear();
     for lc in 0..nc {
         if load[lc] > 0 {
-            arena.chan_heap.push(ShareKey { key: residual[lc] / load[lc] as f64, lc: lc as u32 });
+            chan_heap.push(ShareKey { key: residual[lc] / load[lc] as f64, lc: lc as u32 });
         }
     }
     // Capped flows, lowest cap first (same ShareKey ordering, lc = flow).
-    arena.cap_heap.clear();
+    cap_heap.clear();
     for (i, &slot) in flows.iter().enumerate() {
         if let Some(cap) = slots[slot as usize].cap {
-            arena.cap_heap.push(ShareKey { key: cap, lc: i as u32 });
+            cap_heap.push(ShareKey { key: cap, lc: i as u32 });
         }
     }
     let mut rounds = 0u64;
@@ -665,17 +543,17 @@ fn solve_component(
         rounds += 1;
         // Earliest channel saturation, with lazy key revalidation.
         let chan_next = loop {
-            match arena.chan_heap.peek() {
+            match chan_heap.peek() {
                 Some(&ShareKey { key, lc }) => {
                     let lcu = lc as usize;
                     if load[lcu] == 0 {
-                        arena.chan_heap.pop();
+                        chan_heap.pop();
                         continue;
                     }
                     let true_key = residual[lcu] / load[lcu] as f64;
                     if true_key > key {
-                        arena.chan_heap.pop();
-                        arena.chan_heap.push(ShareKey { key: true_key, lc });
+                        chan_heap.pop();
+                        chan_heap.push(ShareKey { key: true_key, lc });
                         continue;
                     }
                     break Some(ShareKey { key: true_key, lc });
@@ -685,9 +563,9 @@ fn solve_component(
         };
         // Earliest cap among still-active capped flows.
         let cap_next = loop {
-            match arena.cap_heap.peek() {
+            match cap_heap.peek() {
                 Some(&k) if frozen[k.lc as usize] => {
-                    arena.cap_heap.pop();
+                    cap_heap.pop();
                     continue;
                 }
                 other => break other.copied(),
@@ -704,7 +582,7 @@ fn solve_component(
         };
         if cap_first {
             let k = cap_next.expect("checked above");
-            arena.cap_heap.pop();
+            cap_heap.pop();
             let i = k.lc as usize;
             frozen[i] = true;
             remaining -= 1;
@@ -717,7 +595,7 @@ fn solve_component(
             }
         } else {
             let ShareKey { key: level, lc } = chan_next.expect("checked above");
-            arena.chan_heap.pop();
+            chan_heap.pop();
             // Freeze every active flow crossing the saturated channel.
             let c_global = chans[lc as usize] as usize;
             for &slot in members[c_global].iter() {

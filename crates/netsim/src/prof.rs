@@ -26,7 +26,9 @@
 //! drops stale entries at different instants and pops a different number of
 //! them. Simulation state does not depend on the slicing.
 
-/// Counters and timers accumulated by the fairness solver.
+/// Counters accumulated by the fairness solver. Its wall time is the
+/// engine's [`EngineProf::solver_ns`]: every component is water-filled on
+/// the thread that drives the engine, so that timer is one thread's time.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SolverProf {
     /// Re-solves that had dirty channels to process (no-op resolves on a
@@ -42,8 +44,6 @@ pub struct SolverProf {
     /// Water-fill rounds: freeze events (a channel saturating or a flow
     /// capping) processed by the filling loop.
     pub waterfill_rounds: u64,
-    /// Resolves that dispatched components to the parallel water-fill path.
-    pub parallel_resolves: u64,
 }
 
 impl SolverProf {
@@ -54,7 +54,6 @@ impl SolverProf {
         self.comp_flows += other.comp_flows;
         self.comp_chans += other.comp_chans;
         self.waterfill_rounds += other.waterfill_rounds;
-        self.parallel_resolves += other.parallel_resolves;
     }
 }
 

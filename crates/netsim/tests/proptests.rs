@@ -83,6 +83,15 @@ fn two_tier(clusters: usize, hosts_per: usize, access_mbps: f64, trunk_mbps: f64
     Arc::new(b.build().unwrap())
 }
 
+/// Union-find root of channel `c`, halving paths as it goes.
+fn find_root(root: &mut [usize], mut c: usize) -> usize {
+    while root[c] != c {
+        root[c] = root[root[c]];
+        c = root[c];
+    }
+    c
+}
+
 /// A shape the route table special-cases, grafted onto a random topology.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
@@ -373,75 +382,101 @@ proptest! {
         }
     }
 
-    /// The component-parallel water-fill is *bit-identical* to the serial
-    /// path — not merely within tolerance — under random insert/remove
-    /// churn with mixed per-flow caps and interleaved resolves. Components
-    /// are filled in per-component arenas and merged in component-id order,
-    /// so the float operations (and hence every rounding decision) are the
-    /// same in both modes; this is the determinism argument that lets
-    /// `BTT_PARALLEL_SOLVER` flip mid-campaign without forking goldens.
+    /// One re-solve over several dirty components keeps each component's
+    /// arithmetic to itself, although every component is water-filled over
+    /// the same reused scratch. Intra-cluster flows only, so no component
+    /// spans two clusters: a solver holding every cluster must produce the
+    /// same rates, bit for bit, as one solver per cluster fed the same ids
+    /// in the same order, and its changed-flow list must run component by
+    /// component, in the order the touched-channel list discovered them,
+    /// ascending flow id within each.
     #[test]
-    fn parallel_solver_is_bit_identical_to_serial(
-        clusters in 2usize..4,
-        hosts_per in 2usize..5,
-        trunk in 100f64..1500.0,
-        ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 4..40),
+    fn components_solve_independently_over_shared_scratch(
+        clusters in 2usize..5,
+        hosts_per in 2usize..6,
+        ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 4..60),
         cap_mbps in proptest::option::of(50f64..400.0),
     ) {
-        let topo = two_tier(clusters, hosts_per, 890.0, trunk);
+        let topo = two_tier(clusters, hosts_per, 890.0, 1000.0);
         let rt = RouteTable::new(topo.clone());
-        let hosts = topo.hosts().to_vec();
+        let hosts: Vec<Vec<NodeId>> =
+            (0..clusters).map(|c| topo.hosts_in_cluster("s", &format!("c{c}"))).collect();
         let caps = topo.channel_capacities();
-        let cap = cap_mbps.map(|m| Bandwidth::from_mbps(m).bytes_per_sec());
 
-        let mut serial = IncrementalMaxMin::new(caps.clone());
-        serial.set_parallel(Some(false));
-        let mut parallel = IncrementalMaxMin::new(caps);
-        parallel.set_parallel(Some(true));
-
-        let mut live: Vec<u64> = Vec::new();
+        let mut all = IncrementalMaxMin::new(caps.clone());
+        let mut per: Vec<IncrementalMaxMin> =
+            (0..clusters).map(|_| IncrementalMaxMin::new(caps.clone())).collect();
+        // Live flows: (id, cluster, route).
+        let mut live: Vec<(u64, usize, Vec<ChannelId>)> = Vec::new();
         let mut next_id = 0u64;
         for (pick, remove) in ops {
             if remove && !live.is_empty() {
-                let id = live.remove(pick as usize % live.len());
-                serial.remove(id);
-                parallel.remove(id);
+                let (id, c, _) = live.remove(pick as usize % live.len());
+                all.remove(id);
+                per[c].remove(id);
             } else {
-                let a = hosts[pick as usize % hosts.len()];
-                let b = hosts[(pick as usize / 7 + 1) % hosts.len()];
-                if a == b {
-                    continue;
-                }
-                let route = rt.route(a, b);
-                serial.insert(next_id, &route, cap);
-                parallel.insert(next_id, &route, cap);
-                live.push(next_id);
+                let c = pick as usize % clusters;
+                let a = pick as usize / clusters % hosts_per;
+                let b = (a + 1 + pick as usize / 7 % (hosts_per - 1)) % hosts_per;
+                let route = rt.route(hosts[c][a], hosts[c][b]);
+                // Mixed caps: a third of the flows uncapped, the rest at
+                // one to four times the drawn cap.
+                let cap = cap_mbps.filter(|_| pick % 3 != 0).map(|m| {
+                    Bandwidth::from_mbps(m * (1 + pick % 4) as f64).bytes_per_sec()
+                });
+                all.insert(next_id, &route, cap);
+                per[c].insert(next_id, &route, cap);
+                live.push((next_id, c, route));
                 next_id += 1;
             }
-            // Resolve half the time so dirty sets of both shapes (one
-            // component, many components) hit the parallel dispatch.
             if pick % 2 == 0 {
-                serial.resolve();
-                parallel.resolve();
-                for &id in &live {
+                let (changed, touched) = all.resolve();
+                let (changed, touched) = (changed.to_vec(), touched.to_vec());
+                for solver in per.iter_mut() {
+                    solver.resolve();
+                }
+                // Connected components of the live flows, by channel.
+                let mut root: Vec<usize> = (0..caps.len()).collect();
+                for (_, _, route) in &live {
+                    for w in route.windows(2) {
+                        let x = find_root(&mut root, w[0].idx());
+                        let y = find_root(&mut root, w[1].idx());
+                        root[x] = y;
+                    }
+                }
+                // Each component's channels form one block of `touched`.
+                let mut order: Vec<usize> = Vec::new();
+                for &ch in &touched {
+                    let r = find_root(&mut root, ch as usize);
+                    if order.last() != Some(&r) {
+                        prop_assert!(!order.contains(&r), "component split in touched list");
+                        order.push(r);
+                    }
+                }
+                // Changed flows follow that block order, ascending id within.
+                let mut prev: Option<(usize, u64)> = None;
+                for &(id, rate) in &changed {
+                    let (_, c, route) = live.iter().find(|f| f.0 == id).expect("live flow");
+                    let r = find_root(&mut root, route[0].idx());
+                    let pos = order.iter().position(|&o| o == r).expect("touched component");
+                    if let Some((p, last)) = prev {
+                        prop_assert!(
+                            p < pos || (p == pos && last < id),
+                            "flow {} out of discovery order", id
+                        );
+                    }
+                    prev = Some((pos, id));
+                    prop_assert_eq!(rate.to_bits(), per[*c].rate(id).to_bits(), "flow {}", id);
+                }
+                for (id, c, _) in &live {
                     prop_assert_eq!(
-                        serial.rate(id).to_bits(),
-                        parallel.rate(id).to_bits(),
-                        "flow {} diverged after mid-churn resolve: {} vs {}",
-                        id, serial.rate(id), parallel.rate(id)
+                        all.rate(*id).to_bits(),
+                        per[*c].rate(*id).to_bits(),
+                        "flow {} diverged: {} vs {}",
+                        id, all.rate(*id), per[*c].rate(*id)
                     );
                 }
             }
-        }
-        serial.resolve();
-        parallel.resolve();
-        for &id in &live {
-            prop_assert_eq!(
-                serial.rate(id).to_bits(),
-                parallel.rate(id).to_bits(),
-                "flow {} diverged at the final resolve: {} vs {}",
-                id, serial.rate(id), parallel.rate(id)
-            );
         }
     }
 
@@ -551,12 +586,12 @@ proptest! {
 
 /// One churn script replayed against a fresh engine. Each op runs at an
 /// absolute instant (the running sum of its gap). The coarse replay reaches
-/// it with one `advance_until`. The fine replay reaches it through short
-/// slices that alternate `advance_to_next_event_until` and
-/// `advance_until`, so it enters the engine far more often and compacts the
-/// calendar at other instants. Returns the event and stop log, the final
-/// channel bytes and clock, and the number of stale entries compaction
-/// dropped.
+/// it with one `advance_until_into`. The fine replay reaches it through
+/// short slices that alternate `advance_to_next_event_until_into` and
+/// `advance_until_into`, so it enters the engine far more often and
+/// compacts the calendar at other instants. Returns the event and stop log,
+/// the final channel bytes and clock, and the number of stale entries
+/// compaction dropped.
 fn replay_churn(
     topo: &Arc<Topology>,
     quantum: f64,

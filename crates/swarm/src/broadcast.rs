@@ -16,7 +16,9 @@ use btt_netsim::perturb::{generate_schedule, horizon_estimate, ReliabilityCfg};
 use btt_netsim::routing::RouteTable;
 use btt_netsim::topology::NodeId;
 use btt_netsim::util::seed_for_iteration;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -173,6 +175,9 @@ struct Reorder<T> {
     next: u32,
     /// Completed, not-yet-emitted results keyed by iteration index.
     slots: BTreeMap<u32, T>,
+    /// The first panic raised by a worker's `produce` or by `emit`. Once it
+    /// is set, every thread stops waiting and returns.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// Runs `produce(k)` for every `k` in `start..end` on a bounded
@@ -185,6 +190,10 @@ struct Reorder<T> {
 /// buffer at `2 × workers` parked results — a worker that races far ahead
 /// blocks until the emitter catches up, except for the one holding the
 /// next-needed index, which always inserts (no deadlock).
+///
+/// A panic in `produce` or `emit` stops the pool: no index is claimed after
+/// it, every waiting thread wakes and returns, and the first panic is then
+/// resumed on the calling thread with its payload.
 fn pool_run_ordered<T: Send>(
     start: u32,
     end: u32,
@@ -194,8 +203,13 @@ fn pool_run_ordered<T: Send>(
 ) {
     let bound = 2 * workers;
     let cursor = AtomicU32::new(start);
-    let shared = Mutex::new(Reorder { next: start, slots: BTreeMap::new() });
+    let shared = Mutex::new(Reorder { next: start, slots: BTreeMap::new(), panic: None });
     let ready = Condvar::new();
+    let fail = |payload: Box<dyn Any + Send>| {
+        cursor.store(end, Ordering::SeqCst);
+        shared.lock().expect("campaign pool poisoned").panic.get_or_insert(payload);
+        ready.notify_all();
+    };
     std::thread::scope(|scope| {
         for _ in 0..workers.min((end - start) as usize) {
             scope.spawn(|| loop {
@@ -203,12 +217,18 @@ fn pool_run_ordered<T: Send>(
                 if k >= end {
                     break;
                 }
-                let value = produce(k);
+                let value = match catch_unwind(AssertUnwindSafe(|| produce(k))) {
+                    Ok(value) => value,
+                    Err(payload) => break fail(payload),
+                };
                 let mut state = shared.lock().expect("campaign pool poisoned");
                 // Backpressure — unless this is the next-needed result,
                 // which must always land for the emitter to progress.
-                while state.slots.len() >= bound && k != state.next {
+                while state.panic.is_none() && state.slots.len() >= bound && k != state.next {
                     state = ready.wait(state).expect("campaign pool poisoned");
+                }
+                if state.panic.is_some() {
+                    break;
                 }
                 state.slots.insert(k, value);
                 drop(state);
@@ -217,19 +237,24 @@ fn pool_run_ordered<T: Send>(
         }
         // The calling thread is the emitter: drain in iteration order.
         let mut state = shared.lock().expect("campaign pool poisoned");
-        while state.next < end {
+        while state.next < end && state.panic.is_none() {
             let k = state.next;
             if let Some(value) = state.slots.remove(&k) {
                 state.next = k + 1;
                 drop(state);
                 ready.notify_all();
-                emit(value);
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| emit(value))) {
+                    fail(payload);
+                }
                 state = shared.lock().expect("campaign pool poisoned");
             } else {
                 state = ready.wait(state).expect("campaign pool poisoned");
             }
         }
     });
+    if let Some(payload) = shared.into_inner().expect("campaign pool poisoned").panic {
+        resume_unwind(payload);
+    }
 }
 
 /// Completion-driven campaign driver: runs `iterations` broadcasts and hands
@@ -545,6 +570,74 @@ mod tests {
         for (i, v) in seen.iter().enumerate() {
             assert_eq!(*v, i as u32 * 3);
         }
+    }
+
+    /// Runs a 64-index pool on 4 workers on a helper thread, panicking in
+    /// `produce` or in `emit` at `at`, and returns the panic message the
+    /// caller saw. Fails, instead of hanging, if none arrives within 10 s.
+    ///
+    /// Once `at` is held up, 4 workers with an 8-result reorder buffer
+    /// produce exactly 11 later indices: 8 land in the buffer and 3 block
+    /// on backpressure. The panicking call waits (up to 5 s) until all
+    /// `at + 12` indices have started, so the panic must wake parked
+    /// workers.
+    fn pool_panic_message(in_produce: bool, at: u32) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let started = AtomicU32::new(0);
+            let wait_for_parked = || {
+                let t0 = std::time::Instant::now();
+                while started.load(Ordering::SeqCst) < at + 12
+                    && t0.elapsed() < std::time::Duration::from_secs(5)
+                {
+                    std::thread::yield_now();
+                }
+            };
+            let produce = |k: u32| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if in_produce && k == at {
+                    wait_for_parked();
+                    panic!("produce failed at {k}");
+                }
+                k
+            };
+            let mut next = 0u32;
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool_run_ordered(0, 64, 4, &produce, &mut |v| {
+                    assert_eq!(v, next, "in-order emission up to the panic");
+                    next += 1;
+                    if !in_produce && v == at {
+                        wait_for_parked();
+                        panic!("emit failed at {v}");
+                    }
+                })
+            }));
+            let message = match result {
+                Ok(()) => "no panic".to_string(),
+                Err(payload) => payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_else(|| "unknown payload".to_string()),
+            };
+            tx.send(message).expect("the test thread waits for the message");
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("pool hung instead of reporting the panic");
+        helper.join().expect("the helper thread catches the panic");
+        message
+    }
+
+    #[test]
+    fn pool_reports_a_produce_panic_instead_of_hanging() {
+        assert_eq!(pool_panic_message(true, 37), "produce failed at 37");
+        assert_eq!(pool_panic_message(true, 0), "produce failed at 0");
+    }
+
+    #[test]
+    fn pool_reports_an_emit_panic_instead_of_hanging() {
+        assert_eq!(pool_panic_message(false, 20), "emit failed at 20");
+        assert_eq!(pool_panic_message(false, 52), "emit failed at 52");
     }
 
     #[test]

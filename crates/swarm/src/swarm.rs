@@ -388,7 +388,7 @@ impl Swarm {
             peers[root].nbrs[j].they_interested = true;
         }
 
-        let mut net = SimNet::with_routes(routes.topology().clone(), routes);
+        let mut net = SimNet::with_routes(routes);
         // Batch fairness re-solves on the protocol step — the same
         // rate-staleness bound the legacy fixed-step engine had. This keeps
         // per-fragment cost flat at 1000+ hosts.

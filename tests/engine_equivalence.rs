@@ -83,7 +83,7 @@ fn drive_modes_agree_under_all_perturbation_kinds() {
 /// Single-broadcast smokes at the suite's largest scales: 4096-host
 /// fat-tree and 8192-host WAN, one iteration each, both pacings. The
 /// flattened hot path (dense have/interest mirrors, coalesced delivery
-/// marks, component-parallel re-solves) earns its keep at exactly these
+/// marks, component-local re-solves) earns its keep at exactly these
 /// sizes, so this is where a pacing-dependent shortcut would surface; a
 /// shallow piece count keeps both points inside the CI smoke budget.
 #[test]
