@@ -101,8 +101,8 @@ options:
   --iterations <N>         broadcast iterations per job (default: 3)
   --pieces <N>             file size in 16 KiB fragments (default: 64)
   --recluster-every <N>    streaming re-cluster cadence (default: 1)
-  --threads <N>            measurement worker threads per job (default: 0 =
-                           auto, 1 = serial; reports stay byte-identical)
+  --threads <N>            each job's threads field (default: 0); no effect
+                           today, served jobs stream one broadcast at a time
   --poll-ms <N>            delay between poll rounds (default: 10)
   --shutdown               send a shutdown request once all jobs land
   -h, --help               show this help";

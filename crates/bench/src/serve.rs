@@ -39,9 +39,10 @@ use btt_core::session::{PartitionSnapshot, SessionPhase, TomographySession};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Version tag every `btt serve` request and response carries.
@@ -187,8 +188,10 @@ pub struct JobSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence (optional, default 1 — every run).
     pub recluster_every: u32,
-    /// Measurement worker threads (optional, default 0 = auto, 1 = serial).
-    /// A wall-clock knob only: the report is byte-identical for every value.
+    /// Measurement worker threads (optional, default 0). Has no effect
+    /// today: a served job streams one broadcast at a time, and a
+    /// one-broadcast chunk runs serially whatever the thread count. The
+    /// report is byte-identical for every value.
     pub threads: usize,
 }
 
@@ -353,6 +356,16 @@ struct Job {
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
+impl Job {
+    /// Locks the job's state. Every update under the lock is a few plain
+    /// field writes, each leaving a readable state, so a lock poisoned by a
+    /// panicking worker is recovered rather than passed on to the
+    /// connection threads that read it.
+    fn state(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Daemon-wide shared state.
 #[derive(Debug)]
 struct Shared {
@@ -421,15 +434,16 @@ impl ServerHandle {
             table.values().cloned().collect()
         };
         for job in &jobs {
-            if let Some(worker) = job.worker.lock().expect("worker lock").take() {
-                worker.join().expect("job workers never panic");
+            let worker = job.worker.lock().expect("worker lock").take();
+            if let Some(Err(payload)) = worker.map(JoinHandle::join) {
+                job.state().status = JobStatus::Failed(panic_failure(payload.as_ref()));
             }
         }
         let mut completed = 0usize;
         let mut failed = 0usize;
         let mut records = Vec::new();
         for job in &jobs {
-            let state = job.state.lock().expect("state lock");
+            let state = job.state();
             match &state.status {
                 JobStatus::Complete => {
                     completed += 1;
@@ -625,10 +639,30 @@ fn submit(shared: &Arc<Shared>, spec: JobSpec) -> Result<Json, ServeError> {
     ))
 }
 
-/// The worker: stream one broadcast at a time into a live session,
-/// publishing (received, snapshot) after every observation, then finalize
-/// and write artifacts.
+/// The worker thread's body. A panic anywhere in the job marks it failed
+/// with the panic message instead of ending the thread, so `status` stops
+/// reading `measuring` and the daemon drains at `shutdown`.
 fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
+    if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| measure_job(&shared, &job)))
+    {
+        job.state().status = JobStatus::Failed(panic_failure(payload.as_ref()));
+    }
+}
+
+/// The failure reason recorded for a job whose worker panicked.
+fn panic_failure(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("job worker panicked: {message}")
+}
+
+/// Streams one broadcast at a time into a live session, publishing
+/// (received, snapshot) after every observation, then finalizes and writes
+/// artifacts.
+fn measure_job(shared: &Shared, job: &Job) {
     let session = job.spec.session();
     let mut live = session.live();
     let expected = match live.phase() {
@@ -636,7 +670,7 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
         SessionPhase::Complete { iterations } => iterations,
     };
     {
-        let mut state = job.state.lock().expect("state lock");
+        let mut state = job.state();
         state.status = JobStatus::Measuring;
         state.expected = expected;
     }
@@ -646,15 +680,15 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
         if live.observe(obs).is_err() {
             return; // stream violated its own ordering contract; keep going
         }
-        let mut state = job.state.lock().expect("state lock");
+        let mut state = job.state();
         state.received += 1;
         state.snapshot = live.current_best().cloned();
     });
     match live.finalize() {
         Ok(report) => {
             let record = ReportRecord::new(&report, job.spec.pieces);
-            let write_result = write_job_artifacts(&shared, &job, &record);
-            let mut state = job.state.lock().expect("state lock");
+            let write_result = write_job_artifacts(shared, job, &record);
+            let mut state = job.state();
             match write_result {
                 Ok(()) => {
                     state.record = Some(record);
@@ -663,10 +697,7 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
                 Err(e) => state.status = JobStatus::Failed(format!("writing artifacts: {e}")),
             }
         }
-        Err(e) => {
-            let mut state = job.state.lock().expect("state lock");
-            state.status = JobStatus::Failed(e.to_string());
-        }
+        Err(e) => job.state().status = JobStatus::Failed(e.to_string()),
     }
 }
 
@@ -694,7 +725,7 @@ fn job_fields(job: &Job, state: &JobState) -> Vec<(&'static str, Json)> {
 
 fn status(shared: &Shared, job_id: u64) -> Result<Json, ServeError> {
     let job = get_job(shared, job_id)?;
-    let state = job.state.lock().expect("state lock");
+    let state = job.state();
     let mut fields = job_fields(&job, &state);
     if let JobStatus::Failed(reason) = &state.status {
         fields.push(("failure", Json::Str(reason.clone())));
@@ -708,7 +739,7 @@ fn status(shared: &Shared, job_id: u64) -> Result<Json, ServeError> {
 
 fn snapshot(shared: &Shared, job_id: u64) -> Result<Json, ServeError> {
     let job = get_job(shared, job_id)?;
-    let state = job.state.lock().expect("state lock");
+    let state = job.state();
     let Some(snap) = &state.snapshot else {
         return Ok(ok_response(
             "snapshot",
@@ -738,7 +769,7 @@ fn snapshot(shared: &Shared, job_id: u64) -> Result<Json, ServeError> {
 
 fn report(shared: &Shared, job_id: u64) -> Result<Json, ServeError> {
     let job = get_job(shared, job_id)?;
-    let state = job.state.lock().expect("state lock");
+    let state = job.state();
     match &state.record {
         Some(record) => Ok(ok_response(
             "report",
@@ -753,7 +784,7 @@ fn list(shared: &Shared) -> Json {
     let rows = jobs
         .iter()
         .map(|job| {
-            let state = job.state.lock().expect("state lock");
+            let state = job.state();
             Json::obj(job_fields(job, &state))
         })
         .collect();
@@ -823,6 +854,23 @@ mod tests {
         ])
     }
 
+    /// Polls `status` until the job leaves `queued`/`measuring` (a small
+    /// job takes well under a second; the loop bound only guards against a
+    /// hung daemon).
+    fn final_status(client: &mut ServeClient, job_id: u64) -> Json {
+        for _ in 0..2000 {
+            let status = client
+                .request(&ServeClient::envelope("status", vec![("job_id", Json::UInt(job_id))]))
+                .unwrap();
+            let state = status.get("state").and_then(Json::as_str).unwrap();
+            if state == "complete" || state == "failed" {
+                return status;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        panic!("job {job_id} never finished");
+    }
+
     #[test]
     fn protocol_round_trip_submit_status_report() {
         let server = start();
@@ -836,20 +884,8 @@ mod tests {
         assert_eq!(sub.get("ok").and_then(Json::as_bool), Some(true), "{sub:?}");
         let job_id = sub.get("job_id").and_then(Json::as_u64).unwrap();
 
-        // Poll to completion (a 6-host 48-piece job takes well under a
-        // second; the loop bound only guards against a hung daemon).
-        let mut state = String::new();
-        for _ in 0..2000 {
-            let status = client
-                .request(&ServeClient::envelope("status", vec![("job_id", Json::UInt(job_id))]))
-                .unwrap();
-            state = status.get("state").and_then(Json::as_str).unwrap().to_string();
-            if state == "complete" || state == "failed" {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(state, "complete");
+        let status = final_status(&mut client, job_id);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("complete"));
 
         let report = client
             .request(&ServeClient::envelope("report", vec![("job_id", Json::UInt(job_id))]))
@@ -1093,6 +1129,52 @@ mod tests {
 
         server.shutdown();
         assert_eq!(server.wait().unwrap().submitted, 0);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_daemon_drains() {
+        let out = std::env::temp_dir().join(format!("btt-serve-panic-{}", std::process::id()));
+        let server =
+            serve(ServeConfig { addr: "127.0.0.1:0".to_string(), out: Some(out.clone()) }).unwrap();
+        let mut client = ServeClient::connect(&server.addr()).unwrap();
+
+        // `from_json` refuses zero pieces, so build the spec directly: the
+        // broadcast's config check panics inside the worker.
+        let mut spec = JobSpec::from_json(&small_job()).unwrap();
+        spec.pieces = 0;
+        let sub = submit(&server.shared, spec).unwrap();
+        let bad = sub.get("job_id").and_then(Json::as_u64).unwrap();
+        let status = final_status(&mut client, bad);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+        let failure = status.get("failure").and_then(Json::as_str).unwrap();
+        assert!(failure.contains("need at least one piece"), "{failure}");
+        // A thread that panics holding the job's state lock poisons it;
+        // `status` still answers from the recovered state.
+        let job = get_job(&server.shared, bad).unwrap();
+        let poisoner = std::thread::spawn(move || {
+            let _held = job.state.lock().unwrap();
+            panic!("poisoning the job state lock");
+        });
+        assert!(poisoner.join().is_err());
+        let status = final_status(&mut client, bad);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+
+        let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
+        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+        let sub =
+            client.request(&ServeClient::envelope("submit", vec![("job", small_job())])).unwrap();
+        let good = sub.get("job_id").and_then(Json::as_u64).unwrap();
+        let status = final_status(&mut client, good);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("complete"));
+
+        server.shutdown();
+        let stats = server.wait().unwrap();
+        assert_eq!(stats, ServeStats { submitted: 2, completed: 1, failed: 1 });
+        let summary = std::fs::read_to_string(out.join("summary.csv")).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
+        let rows: Vec<&str> = summary.lines().skip(1).collect();
+        assert_eq!(rows.len(), 1, "{summary}");
+        assert!(rows[0].starts_with("star:2x3:0.2:3,louvain,2012,"), "{summary}");
     }
 
     #[test]

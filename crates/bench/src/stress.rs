@@ -34,7 +34,8 @@ pub struct StressSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence.
     pub recluster_every: u32,
-    /// Measurement worker threads per job (0 = auto, 1 = serial).
+    /// Each job's `threads` field. It has no effect today: served jobs
+    /// stream one broadcast at a time.
     pub threads: usize,
     /// Delay between status/snapshot polls per in-flight job.
     pub poll: Duration,

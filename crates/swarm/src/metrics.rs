@@ -353,15 +353,48 @@ impl MetricAccumulator {
     /// Number of unordered pairs never fully observed in any run — the
     /// blind spots a churned campaign leaves in the measurement graph.
     ///
-    /// Zero without scanning whenever one run observed everyone; otherwise
-    /// O(n² · ⌈partial runs / 64⌉) over the participation signatures.
+    /// Zero without scanning whenever one run observed everyone. Otherwise
+    /// hosts with the same participation signature (w = ⌈partial runs / 64⌉
+    /// words) are counted as one group. A pair is unobserved exactly when
+    /// its two signatures share no run, so the count is Σ cᵢ·cⱼ over
+    /// disjoint groups plus c(c − 1)/2 for the all-zero group. Groups are
+    /// ordered by how many runs they joined, and two groups whose counts
+    /// sum past the partial runs must share one, so only the pairs below
+    /// that sum are compared: O(n · w · log n) plus w per compared pair.
+    /// Under light churn every host joins most runs and almost no pair is
+    /// compared; at worst all G² / 2 group pairs are.
     pub fn pairs_unobserved(&self) -> usize {
         if self.iterations == 0 || self.full_runs > 0 {
             return 0;
         }
-        (0..self.n)
-            .map(|a| ((a + 1)..self.n).filter(|&b| self.partial_obs(a, b) == 0).count())
-            .sum()
+        let (n, w) = (self.n, self.sig.len() / self.n.max(1));
+        let rows: Vec<u64> =
+            (0..n).flat_map(|h| (0..w).map(move |k| self.sig[k * n + h])).collect();
+        let mut sigs: Vec<(u32, &[u64])> =
+            rows.chunks_exact(w).map(|s| (s.iter().map(|x| x.count_ones()).sum(), s)).collect();
+        sigs.sort_unstable();
+        let mut groups: Vec<(u32, &[u64], usize)> = Vec::new();
+        for (runs, s) in sigs {
+            match groups.last_mut() {
+                Some((_, g, c)) if *g == s => *c += 1,
+                _ => groups.push((runs, s, 1)),
+            }
+        }
+        let mut unobserved = 0;
+        for (i, &(ri, gi, ci)) in groups.iter().enumerate() {
+            if ri == 0 {
+                unobserved += ci * (ci - 1) / 2;
+            }
+            // No run was full, so `iterations` counts the partial runs.
+            let candidates =
+                groups[i + 1..].iter().take_while(|&&(rj, _, _)| ri + rj <= self.iterations);
+            for &(_, gj, cj) in candidates {
+                if gi.iter().zip(gj).all(|(&x, &y)| x & y == 0) {
+                    unobserved += ci * cj;
+                }
+            }
+        }
+        unobserved
     }
 
     /// Mean per-pair observation fraction (`obs / iterations`, averaged
@@ -469,6 +502,74 @@ impl WindowedMetric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An all-pairs scan, kept as the oracle of `pairs_unobserved`.
+    fn pairs_unobserved_reference(acc: &MetricAccumulator) -> usize {
+        if acc.iterations == 0 || acc.full_runs > 0 {
+            return 0;
+        }
+        (0..acc.n).map(|a| ((a + 1)..acc.n).filter(|&b| acc.partial_obs(a, b) == 0).count()).sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Counting pairs by signature group equals the pair scan after
+        /// every run. Up to 150 partial runs span three signature words;
+        /// some hosts never participate; `full_at` optionally makes one run
+        /// full, which takes the early return from then on.
+        #[test]
+        fn pairs_unobserved_matches_the_pair_scan(
+            n in 1usize..48,
+            runs in 1usize..151,
+            up_per_mille in 20u64..950,
+            never_per_mille in 0u64..300,
+            full_at in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let mut x = seed;
+            let mut next = move || {
+                x = btt_netsim::util::splitmix64(x);
+                x
+            };
+            let never: Vec<bool> = (0..n).map(|_| next() % 1000 < never_per_mille).collect();
+            let mut acc = MetricAccumulator::new(n);
+            let m = FragmentMatrix::new(n);
+            for r in 0..runs {
+                let mask: Vec<bool> = if r == full_at {
+                    vec![true; n]
+                } else {
+                    let mut mask: Vec<bool> =
+                        (0..n).map(|h| !never[h] && next() % 1000 < up_per_mille).collect();
+                    mask[r % n] = false;
+                    mask
+                };
+                acc.push_run_partial(&m, &mask);
+                prop_assert_eq!(acc.pairs_unobserved(), pairs_unobserved_reference(&acc), "run {}", r);
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_unobserved_on_one_and_two_hosts() {
+        let m1 = FragmentMatrix::new(1);
+        let mut one = MetricAccumulator::new(1);
+        one.push_run_partial(&m1, &[false]);
+        assert_eq!(one.pairs_unobserved(), 0, "one host has no pairs");
+
+        let m2 = FragmentMatrix::new(2);
+        let mut two = MetricAccumulator::new(2);
+        two.push_run_partial(&m2, &[true, false]);
+        assert_eq!(two.pairs_unobserved(), 1);
+        two.push_run_partial(&m2, &[false, true]);
+        assert_eq!(two.pairs_unobserved(), 1, "never up together");
+        two.push_run_partial(&m2, &[true, true]);
+        assert_eq!(two.pairs_unobserved(), 0, "a full run observes the pair");
+        let mut down = MetricAccumulator::new(2);
+        down.push_run_partial(&m2, &[false, false]);
+        assert_eq!(down.pairs_unobserved(), 1, "two silent hosts form the all-zero group");
+    }
 
     #[test]
     fn record_and_read_back() {

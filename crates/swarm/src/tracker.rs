@@ -7,7 +7,16 @@
 //! must be aggregated over iterations. Re-randomizing the peer graph every
 //! iteration (fresh tracker state per broadcast) is what makes aggregation
 //! cover the whole graph.
+//!
+//! A build does work linear in the number of clients for a fixed cap.
+//! Each client draws candidates from a *virtual* Fisher–Yates list: slot `x`
+//! of client `i`'s list `[0, n) \ {i}` holds `x` below `i` and `x + 1` from
+//! `i` on, unless an earlier draw displaced it, and only displaced slots are
+//! stored. Adjacency is tested against the client's own neighbour list, which
+//! holds fewer than the cap while the client draws. Nothing is allocated per
+//! client pair.
 
+use btt_netsim::util::FxHashMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -28,70 +37,70 @@ impl PeerGraph {
     /// tiny caps), bridging edges are added, slightly exceeding the cap —
     /// real clients also accept above-cap inbound connections rather than
     /// partition the swarm.
+    ///
+    /// Each client draws its candidates without replacement by a lazy
+    /// Fisher–Yates over the other `n − 1` clients, one `gen_range(0..m)`
+    /// per attempt until its cap fills or the list runs out. The list is
+    /// virtual: only the slots earlier draws displaced are kept, in a map
+    /// cleared and reused for each client, so a build costs
+    /// O(n + draws · max_peers) time and O(n · max_peers) memory.
     pub fn random(n: usize, max_peers: usize, rng: &mut impl Rng) -> Self {
         assert!(n >= 2, "a swarm needs at least two clients");
         let cap = max_peers.max(1);
         let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut adj = vec![false; n * n];
 
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.shuffle(rng);
-        let mut targets: Vec<u32> = Vec::with_capacity(n.saturating_sub(1));
+        let mut displaced: FxHashMap<u32, u32> = FxHashMap::default();
         for &i in &order {
             let iu = i as usize;
             if neighbors[iu].len() >= cap {
                 continue;
             }
-            // Candidate targets drawn without replacement via lazy partial
-            // Fisher–Yates: same distribution as shuffling the whole list
-            // and walking it in order, but only as many draws as attempts —
-            // the cap fills after ~`max_peers` accepts, so eagerly shuffling
-            // all `n - 1` candidates per node cost O(n²) RNG draws per
-            // tracker build.
-            targets.clear();
-            targets.extend((0..n as u32).filter(|&j| j != i));
-            let mut m = targets.len();
+            // Slot x of client i's candidate list [0, n) \ {i}.
+            displaced.clear();
+            let slot = |displaced: &FxHashMap<u32, u32>, x: u32| {
+                displaced.get(&x).copied().unwrap_or(if x < i { x } else { x + 1 })
+            };
+            let mut m = n - 1;
             while m > 0 && neighbors[iu].len() < cap {
-                let t = rng.gen_range(0..m);
-                let j = targets[t];
+                let t = rng.gen_range(0..m) as u32;
+                let j = slot(&displaced, t);
                 m -= 1;
-                targets[t] = targets[m];
+                if t != m as u32 {
+                    displaced.insert(t, slot(&displaced, m as u32));
+                }
                 let ju = j as usize;
-                if neighbors[ju].len() >= cap || adj[iu * n + ju] {
+                if neighbors[ju].len() >= cap || neighbors[iu].contains(&j) {
                     continue;
                 }
-                adj[iu * n + ju] = true;
-                adj[ju * n + iu] = true;
                 neighbors[iu].push(j);
                 neighbors[ju].push(i);
             }
         }
 
         let mut g = PeerGraph { neighbors };
-        g.bridge_components(&mut adj, n, rng);
+        g.bridge_components(rng);
         g
     }
 
     /// Connects disconnected components with random bridging edges.
-    fn bridge_components(&mut self, adj: &mut [bool], n: usize, rng: &mut impl Rng) {
+    fn bridge_components(&mut self, rng: &mut impl Rng) {
+        let n = self.neighbors.len();
         loop {
             let comp = self.components();
             let ncomp = *comp.iter().max().unwrap() + 1;
             if ncomp <= 1 {
                 return;
             }
-            // Bridge component 0 to some node of another component.
+            // Bridge component 0 to some node of another component. The two
+            // lie in different components, so they are never adjacent yet.
             let a_nodes: Vec<u32> = (0..n as u32).filter(|&i| comp[i as usize] == 0).collect();
             let b_nodes: Vec<u32> = (0..n as u32).filter(|&i| comp[i as usize] != 0).collect();
             let a = *a_nodes.choose(rng).expect("component 0 nonempty");
             let b = *b_nodes.choose(rng).expect("other components nonempty");
-            let (au, bu) = (a as usize, b as usize);
-            if !adj[au * n + bu] {
-                adj[au * n + bu] = true;
-                adj[bu * n + au] = true;
-                self.neighbors[au].push(b);
-                self.neighbors[bu].push(a);
-            }
+            self.neighbors[a as usize].push(b);
+            self.neighbors[b as usize].push(a);
         }
     }
 
@@ -147,11 +156,116 @@ impl PeerGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
     fn rng(seed: u64) -> ChaCha12Rng {
         ChaCha12Rng::seed_from_u64(seed)
+    }
+
+    /// The dense build, kept as the oracle the linear build must match draw
+    /// for draw: an n × n adjacency, and a full (n − 1)-entry candidate list
+    /// per client.
+    fn dense_reference(n: usize, max_peers: usize, rng: &mut impl Rng) -> Vec<Vec<u32>> {
+        let cap = max_peers.max(1);
+        let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut adj = vec![false; n * n];
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        let mut targets: Vec<u32> = Vec::with_capacity(n - 1);
+        for &i in &order {
+            let iu = i as usize;
+            if neighbors[iu].len() >= cap {
+                continue;
+            }
+            targets.clear();
+            targets.extend((0..n as u32).filter(|&j| j != i));
+            let mut m = targets.len();
+            while m > 0 && neighbors[iu].len() < cap {
+                let t = rng.gen_range(0..m);
+                let j = targets[t];
+                m -= 1;
+                targets[t] = targets[m];
+                let ju = j as usize;
+                if neighbors[ju].len() >= cap || adj[iu * n + ju] {
+                    continue;
+                }
+                adj[iu * n + ju] = true;
+                adj[ju * n + iu] = true;
+                neighbors[iu].push(j);
+                neighbors[ju].push(i);
+            }
+        }
+        let mut g = PeerGraph { neighbors };
+        loop {
+            let comp = g.components();
+            if comp.iter().all(|&c| c == 0) {
+                return g.neighbors;
+            }
+            let a_nodes: Vec<u32> = (0..n as u32).filter(|&i| comp[i as usize] == 0).collect();
+            let b_nodes: Vec<u32> = (0..n as u32).filter(|&i| comp[i as usize] != 0).collect();
+            let a = *a_nodes.choose(rng).expect("component 0 nonempty");
+            let b = *b_nodes.choose(rng).expect("other components nonempty");
+            let (au, bu) = (a as usize, b as usize);
+            if !adj[au * n + bu] {
+                adj[au * n + bu] = true;
+                adj[bu * n + au] = true;
+                g.neighbors[au].push(b);
+                g.neighbors[bu].push(a);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The linear build reproduces the dense reference exactly: the
+        /// same neighbour lists in the same order, and the same next RNG
+        /// draw, so it consumed the generator identically. Every third case
+        /// uses a cap of 1–3, which leaves the greedy pass disconnected and
+        /// exercises the bridging loop.
+        #[test]
+        fn linear_build_matches_dense_reference(
+            n in 2usize..1101,
+            tiny in 0u8..3,
+            small_cap in 1usize..4,
+            large_cap in 1usize..201,
+            seed in any::<u64>(),
+        ) {
+            let cap = if tiny == 0 { small_cap } else { large_cap };
+            let (mut fast_rng, mut dense_rng) = (rng(seed), rng(seed));
+            let fast = PeerGraph::random(n, cap, &mut fast_rng);
+            let dense = dense_reference(n, cap, &mut dense_rng);
+            for (i, want) in dense.iter().enumerate() {
+                prop_assert_eq!(fast.neighbors(i), &want[..], "client {} (n {}, cap {})", i, n, cap);
+            }
+            prop_assert_eq!(fast_rng.next_u64(), dense_rng.next_u64(), "next draw");
+        }
+    }
+
+    /// At the spec cap of 65,536 hosts the default tracker builds a simple,
+    /// symmetric, connected overlay within the cap. The dense build needed
+    /// a 4.3 GB adjacency here.
+    #[test]
+    fn builds_the_largest_scenario_within_the_cap() {
+        let n = 65_536;
+        let g = PeerGraph::random(n, 35, &mut rng(2012));
+        assert_eq!(g.len(), n);
+        let mut directed: Vec<(u32, u32)> = Vec::new();
+        for i in 0..n {
+            let nbrs = g.neighbors(i);
+            assert!(!nbrs.is_empty() && nbrs.len() <= 35, "client {i}: degree {}", nbrs.len());
+            directed.extend(nbrs.iter().map(|&j| (i as u32, j)));
+        }
+        assert!(directed.iter().all(|&(i, j)| i != j), "self-loop");
+        let mut forward = directed.clone();
+        forward.sort_unstable();
+        assert!(forward.windows(2).all(|w| w[0] != w[1]), "duplicate edge");
+        let mut reverse: Vec<(u32, u32)> = directed.iter().map(|&(i, j)| (j, i)).collect();
+        reverse.sort_unstable();
+        assert_eq!(forward, reverse, "asymmetric edge");
+        assert!(g.is_connected());
     }
 
     #[test]
