@@ -25,7 +25,7 @@ fn bench_fr(c: &mut Criterion) {
     for n_per in [16usize, 24] {
         let (g, _) = planted_partition(4, n_per, 8.0, 0.5, 3);
         group.bench_with_input(BenchmarkId::from_parameter(4 * n_per), &n_per, |b, _| {
-            b.iter(|| fruchterman_reingold(&g, 1, FrConfig::default()));
+            b.iter(|| fruchterman_reingold(&g, 1));
         });
     }
     group.finish();

@@ -101,8 +101,6 @@ options:
   --iterations <N>         broadcast iterations per job (default: 3)
   --pieces <N>             file size in 16 KiB fragments (default: 64)
   --recluster-every <N>    streaming re-cluster cadence (default: 1)
-  --threads <N>            each job's threads field (default: 0); no effect
-                           today, served jobs stream one broadcast at a time
   --poll-ms <N>            delay between poll rounds (default: 10)
   --shutdown               send a shutdown request once all jobs land
   -h, --help               show this help";
@@ -394,12 +392,6 @@ fn stress_cmd(args: &[String]) -> ExitCode {
                     return stress_err("--recluster-every wants a positive integer".into());
                 };
                 spec.recluster_every = n;
-            }
-            "--threads" => {
-                let Some(n) = value().and_then(|v| v.parse::<usize>().ok()) else {
-                    return stress_err("--threads wants an unsigned integer".into());
-                };
-                spec.threads = n;
             }
             "--poll-ms" => {
                 let Some(n) = value().and_then(|v| v.parse::<u64>().ok()) else {

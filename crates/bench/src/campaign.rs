@@ -189,8 +189,23 @@ impl RunSpec {
 }
 
 /// Makes a scenario id filesystem-friendly (`:`, `+`, `=` → `-`).
-fn sanitize(id: &str) -> String {
+pub(crate) fn sanitize(id: &str) -> String {
     id.replace([':', '+', '='], "-")
+}
+
+/// Writes one run's artifacts under `out`: the pretty-printed report JSON
+/// as `<stem>.json` and its convergence CSV as `<stem>.convergence.csv`.
+/// Returns both paths, JSON first.
+pub(crate) fn write_run_artifacts(
+    out: &Path,
+    stem: &str,
+    record: &ReportRecord,
+) -> io::Result<[PathBuf; 2]> {
+    let json_path = out.join(format!("{stem}.json"));
+    fs::write(&json_path, record.to_json().render_pretty())?;
+    let csv_path = out.join(format!("{stem}.convergence.csv"));
+    fs::write(&csv_path, convergence_csv(record))?;
+    Ok([json_path, csv_path])
 }
 
 /// True for file names this module itself writes — the only files
@@ -341,13 +356,7 @@ pub fn write_outputs(
     }
     let mut paths = Vec::with_capacity(records.len() * 2 + 1);
     for (run, record) in runs.iter().zip(records) {
-        let stem = run.file_stem();
-        let json_path = out.join(format!("{stem}.json"));
-        fs::write(&json_path, record.to_json().render_pretty())?;
-        paths.push(json_path);
-        let csv_path = out.join(format!("{stem}.convergence.csv"));
-        fs::write(&csv_path, convergence_csv(record))?;
-        paths.push(csv_path);
+        paths.extend(write_run_artifacts(out, &run.file_stem(), record)?);
     }
     let summary = out.join("summary.csv");
     fs::write(&summary, summary_csv(records))?;

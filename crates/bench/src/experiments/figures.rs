@@ -198,18 +198,7 @@ pub fn fig13(ctx: &mut ReproCtx) {
     println!("{}", text_table(&rows));
 
     for (d, s) in &series {
-        let conv = s
-            .iter()
-            .scan(None::<u32>, |st, p| {
-                if p.onmi >= 0.999 {
-                    st.get_or_insert(p.iterations);
-                } else {
-                    *st = None;
-                }
-                Some(*st)
-            })
-            .last()
-            .flatten();
+        let conv = converged_at(s, 0.999);
         println!(
             "{:8} converged@{}  final oNMI {:.3}  (paper: B/G-T/B-G-T ~2 iters to 1.0, \
              B-G-T-L ~15 iters, B-T plateaus at ~0.7)",

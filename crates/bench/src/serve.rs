@@ -31,13 +31,13 @@
 //! {"kind":...,"field":...,"message":...}}`) — see [`ServeError`] — and
 //! never take the daemon down.
 
-use crate::campaign::summary_csv;
+use crate::campaign::{sanitize, summary_csv, write_run_artifacts};
 use btt_core::backend::Backend;
 use btt_core::scenarios::ScenarioSpec;
-use btt_core::serialize::{convergence_csv, json::Json, partition_to_json, ReportRecord};
+use btt_core::serialize::{json::Json, partition_to_json, ReportRecord};
 use btt_core::session::{PartitionSnapshot, SessionPhase, TomographySession};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -59,6 +59,13 @@ pub const MAX_JOB_ITERATIONS: u32 = 10_000;
 /// exhaust memory before the first transfer; this is about 4× the paper's
 /// 15,259-piece file, the largest count any in-repo caller uses.
 pub const MAX_JOB_PIECES: u32 = 65_536;
+
+/// Longest request line the daemon reads, in bytes, its newline excluded.
+/// Job specs are well under 1 KiB; without a bound, a client that never
+/// sends a newline would grow one buffer until the daemon aborts on
+/// allocation. A longer line gets a typed `malformed_request` error naming
+/// `request`, and its connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A malformed or unanswerable request, rejected at the protocol boundary.
 ///
@@ -309,8 +316,8 @@ impl JobSpec {
     /// The per-job artifact stem (campaign naming plus a job prefix, so two
     /// jobs with identical coordinates cannot collide).
     fn file_stem(&self, job_id: u64) -> String {
-        let sanitized = self.scenario.id().replace([':', '+', '='], "-");
-        format!("job{job_id}__{sanitized}__{}__s{}", self.backend.name(), self.seed)
+        let scenario = sanitize(&self.scenario.id());
+        format!("job{job_id}__{scenario}__{}__s{}", self.backend.name(), self.seed)
     }
 }
 
@@ -502,21 +509,44 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
 }
 
 /// One connection: read request lines, answer each with one response line.
-/// I/O errors (client gone) end the connection; malformed requests get
-/// typed error responses and the connection lives on.
+/// I/O errors (client gone) and lines that are not UTF-8 end the
+/// connection; malformed requests get typed error responses and the
+/// connection lives on, except a line over [`MAX_REQUEST_BYTES`], whose
+/// error response is the connection's last.
 fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        let limit = MAX_REQUEST_BYTES + 1;
+        let Ok(n) = reader.by_ref().take(limit as u64).read_until(b'\n', &mut bytes) else {
+            break;
+        };
+        if n == 0 {
+            break;
         }
-        let response = handle_request(&shared, addr, &line);
+        let over_long = n == limit && bytes.last() != Some(&b'\n');
+        let response = if over_long {
+            ServeError::MalformedRequest {
+                field: "request".to_string(),
+                message: format!(
+                    "request line longer than MAX_REQUEST_BYTES = {MAX_REQUEST_BYTES} bytes"
+                ),
+            }
+            .to_response()
+        } else {
+            let Ok(line) = std::str::from_utf8(&bytes) else { break };
+            let line = line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+            if line.trim().is_empty() {
+                continue;
+            }
+            handle_request(&shared, addr, line)
+        };
         let mut text = response.render();
         text.push('\n');
-        if writer.write_all(text.as_bytes()).and_then(|()| writer.flush()).is_err() {
+        if writer.write_all(text.as_bytes()).and_then(|()| writer.flush()).is_err() || over_long {
             break;
         }
     }
@@ -687,9 +717,11 @@ fn measure_job(shared: &Shared, job: &Job) {
     match live.finalize() {
         Ok(report) => {
             let record = ReportRecord::new(&report, job.spec.pieces);
-            let write_result = write_job_artifacts(shared, job, &record);
+            let written = shared.out.as_ref().map_or(Ok(()), |out| {
+                write_run_artifacts(out, &job.spec.file_stem(job.id), &record).map(drop)
+            });
             let mut state = job.state();
-            match write_result {
+            match written {
                 Ok(()) => {
                     state.record = Some(record);
                     state.status = JobStatus::Complete;
@@ -699,15 +731,6 @@ fn measure_job(shared: &Shared, job: &Job) {
         }
         Err(e) => job.state().status = JobStatus::Failed(e.to_string()),
     }
-}
-
-/// Writes the per-job report JSON + convergence CSV (campaign formats).
-fn write_job_artifacts(shared: &Shared, job: &Job, record: &ReportRecord) -> io::Result<()> {
-    let Some(out) = &shared.out else { return Ok(()) };
-    let stem = job.spec.file_stem(job.id);
-    std::fs::write(out.join(format!("{stem}.json")), record.to_json().render_pretty())?;
-    std::fs::write(out.join(format!("{stem}.convergence.csv")), convergence_csv(record))?;
-    Ok(())
 }
 
 /// Shared job summary fields (status/list responses).
@@ -788,12 +811,7 @@ fn list(shared: &Shared) -> Json {
             Json::obj(job_fields(job, &state))
         })
         .collect();
-    Json::obj(vec![
-        ("schema", Json::Str(SERVE_SCHEMA.to_string())),
-        ("ok", Json::Bool(true)),
-        ("kind", Json::Str("list".to_string())),
-        ("jobs", Json::Array(rows)),
-    ])
+    ok_response("list", vec![("jobs", Json::Array(rows))])
 }
 
 /// A blocking NDJSON client for the daemon — one connection, one
@@ -879,8 +897,13 @@ mod tests {
         assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
 
-        let sub =
-            client.request(&ServeClient::envelope("submit", vec![("job", small_job())])).unwrap();
+        // The benchmark's serve workload sends `threads`: it is accepted,
+        // and the report below shows it moves nothing.
+        let mut job = small_job();
+        if let Json::Object(fields) = &mut job {
+            fields.push(("threads".to_string(), Json::UInt(1)));
+        }
+        let sub = client.request(&ServeClient::envelope("submit", vec![("job", job)])).unwrap();
         assert_eq!(sub.get("ok").and_then(Json::as_bool), Some(true), "{sub:?}");
         let job_id = sub.get("job_id").and_then(Json::as_u64).unwrap();
 
@@ -1081,6 +1104,47 @@ mod tests {
         reader.read_line(&mut line).unwrap();
         let pong = btt_core::serialize::json::parse(&line).unwrap();
         assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+
+        server.shutdown();
+        assert_eq!(server.wait().unwrap().submitted, 0);
+    }
+
+    #[test]
+    fn over_long_request_line_gets_a_typed_error_and_the_daemon_keeps_serving() {
+        let server = start();
+        // A request of exactly MAX_REQUEST_BYTES before its newline is read.
+        let mut client = ServeClient::connect(&server.addr()).unwrap();
+        let mut longest = ServeClient::envelope("ping", vec![]).render();
+        longest.push_str(&" ".repeat(MAX_REQUEST_BYTES - longest.len()));
+        longest.push('\n');
+        client.writer.write_all(longest.as_bytes()).unwrap();
+        let mut line = String::new();
+        client.reader.read_line(&mut line).unwrap();
+        let pong = btt_core::serialize::json::parse(&line).unwrap();
+        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+
+        // One byte more and no newline: the daemon stops reading there,
+        // answers with a typed error and closes the connection. The read
+        // timeout turns a daemon still waiting for a newline into a failure.
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+        raw.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
+        let mut reader = BufReader::new(raw);
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let resp = btt_core::serialize::json::parse(&line).unwrap();
+        let err = resp.get("error").expect("an over-long line is an error");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_request"));
+        assert_eq!(err.get("field").and_then(Json::as_str), Some("request"));
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("MAX_REQUEST_BYTES = 1048576"), "{message}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+        // A new connection is still served.
+        let mut client = ServeClient::connect(&server.addr()).unwrap();
+        let pong = client.request(&ServeClient::envelope("ping", vec![])).unwrap();
         assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
 
         server.shutdown();

@@ -34,9 +34,6 @@ pub struct StressSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence.
     pub recluster_every: u32,
-    /// Each job's `threads` field. It has no effect today: served jobs
-    /// stream one broadcast at a time.
-    pub threads: usize,
     /// Delay between status/snapshot polls per in-flight job.
     pub poll: Duration,
     /// Send a `shutdown` request after all jobs complete.
@@ -55,7 +52,6 @@ impl Default for StressSpec {
             iterations: Some(3),
             pieces: 64,
             recluster_every: 1,
-            threads: 0,
             poll: Duration::from_millis(10),
             shutdown: false,
         }
@@ -240,7 +236,6 @@ fn stress_thread(
             ("seed", Json::UInt(spec.seed + u64::from(i))),
             ("pieces", Json::UInt(u64::from(spec.pieces))),
             ("recluster_every", Json::UInt(u64::from(spec.recluster_every))),
-            ("threads", Json::UInt(spec.threads as u64)),
         ];
         if let Some(n) = spec.iterations {
             job.push(("iterations", Json::UInt(u64::from(n))));

@@ -40,7 +40,6 @@ fn stress_drives_the_daemon_without_deadlock_or_corruption() {
         seed: 2012,
         iterations: Some(4),
         pieces: 256,
-        threads: 2,
         recluster_every: 1,
         poll: Duration::from_millis(1),
         shutdown: true,

@@ -14,7 +14,7 @@
 
 use crate::graph::WeightedGraph;
 use crate::graph_ops::induced_subgraph;
-use crate::louvain::{louvain_into, LouvainConfig, LouvainScratch};
+use crate::louvain::{louvain_into, LouvainScratch};
 use crate::modularity::modularity;
 use crate::partition::Partition;
 use rand::seq::SliceRandom;
@@ -185,7 +185,7 @@ fn null_modularity(sub: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch)
         }
     }
     let null = WeightedGraph::from_edges(sub.num_nodes(), &edges);
-    let d = louvain_into(&null, seed, LouvainConfig::default(), scratch);
+    let d = louvain_into(&null, seed, scratch);
     modularity(&null, d.best())
 }
 
@@ -198,8 +198,7 @@ fn null_modularity(sub: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch)
 pub fn recursive_louvain(g: &WeightedGraph, seed: u64, cfg: HierarchyConfig) -> Hierarchy {
     let n = g.num_nodes();
     let mut scratch = LouvainScratch::default();
-    let top_partition =
-        louvain_into(g, seed, LouvainConfig::default(), &mut scratch).best().clone();
+    let top_partition = louvain_into(g, seed, &mut scratch).best().clone();
     let top = top_partition
         .clusters()
         .into_iter()
@@ -221,7 +220,7 @@ fn split_node(
         return HierNode::leaf(members);
     }
     let sub = induced_subgraph(g, &members);
-    let d = louvain_into(&sub, seed, LouvainConfig::default(), scratch);
+    let d = louvain_into(&sub, seed, scratch);
     let p = d.best();
     if p.num_clusters() <= 1 {
         return HierNode::leaf(members);

@@ -52,9 +52,7 @@ pub mod prelude {
     pub use crate::hierarchy::{recursive_louvain, HierNode, Hierarchy, HierarchyConfig};
     pub use crate::infomap::{codelength, infomap, InfomapResult};
     pub use crate::labelprop::label_propagation;
-    pub use crate::louvain::{
-        louvain, louvain_into, louvain_with, Dendrogram, LouvainConfig, LouvainScratch,
-    };
+    pub use crate::louvain::{louvain, louvain_into, Dendrogram, LouvainScratch};
     pub use crate::modularity::{modularity, significance, Significance};
     pub use crate::nmi::nmi;
     pub use crate::onmi::{onmi, onmi_partitions, Cover};

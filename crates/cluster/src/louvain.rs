@@ -56,30 +56,16 @@ impl Dendrogram {
     }
 }
 
-/// Tuning knobs for [`louvain_with`]. [`louvain`] uses defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct LouvainConfig {
-    /// Minimum modularity-gain proxy for a move to count as an improvement.
-    pub min_gain: f64,
-    /// Cap on local-moving passes per level (safety; rarely reached).
-    pub max_passes: usize,
-}
+/// Minimum modularity-gain proxy for a move to count as an improvement.
+const MIN_GAIN: f64 = 1e-9;
 
-impl Default for LouvainConfig {
-    fn default() -> Self {
-        LouvainConfig { min_gain: 1e-9, max_passes: 100 }
-    }
-}
+/// Cap on local-moving passes per level (safety; rarely reached).
+const MAX_PASSES: usize = 100;
 
-/// Runs Louvain with default configuration. `seed` drives the node visit
-/// order and tie-breaking; identical seeds reproduce identical dendrograms.
+/// Runs Louvain. `seed` drives the node visit order and tie-breaking;
+/// identical seeds reproduce identical dendrograms.
 pub fn louvain(g: &WeightedGraph, seed: u64) -> Dendrogram {
-    louvain_with(g, seed, LouvainConfig::default())
-}
-
-/// Runs Louvain with explicit configuration.
-pub fn louvain_with(g: &WeightedGraph, seed: u64, cfg: LouvainConfig) -> Dendrogram {
-    louvain_into(g, seed, cfg, &mut LouvainScratch::default())
+    louvain_into(g, seed, &mut LouvainScratch::default())
 }
 
 /// Reusable working memory for [`louvain_into`].
@@ -101,13 +87,8 @@ pub struct LouvainScratch {
 }
 
 /// Runs Louvain reusing `scratch` for all per-level working memory.
-/// Identical output to [`louvain_with`] for any scratch state.
-pub fn louvain_into(
-    g: &WeightedGraph,
-    seed: u64,
-    cfg: LouvainConfig,
-    scratch: &mut LouvainScratch,
-) -> Dendrogram {
+/// Identical output to [`louvain`] for any scratch state.
+pub fn louvain_into(g: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch) -> Dendrogram {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let n = g.num_nodes();
     if n == 0 || g.total_weight() <= 0.0 {
@@ -125,7 +106,7 @@ pub fn louvain_into(
     let mut current = g.clone();
 
     loop {
-        let (local, moved) = local_moving(&current, &mut rng, cfg, scratch);
+        let (local, moved) = local_moving(&current, &mut rng, scratch);
         if !moved && !levels.is_empty() {
             break;
         }
@@ -148,7 +129,6 @@ pub fn louvain_into(
 fn local_moving(
     g: &WeightedGraph,
     rng: &mut ChaCha12Rng,
-    cfg: LouvainConfig,
     scratch: &mut LouvainScratch,
 ) -> (Partition, bool) {
     let n = g.num_nodes();
@@ -175,7 +155,7 @@ fn local_moving(
     order.shuffle(rng);
 
     let mut any_moved = false;
-    for _pass in 0..cfg.max_passes {
+    for _pass in 0..MAX_PASSES {
         let mut moves = 0usize;
         for &vu in order.iter() {
             let v = vu as usize;
@@ -204,7 +184,7 @@ fn local_moving(
                     continue;
                 }
                 let gain = move_gain(k_v, w_to[c], tot[c], m);
-                if gain > best_gain + cfg.min_gain {
+                if gain > best_gain + MIN_GAIN {
                     best_gain = gain;
                     best_c = c;
                 }
@@ -357,7 +337,7 @@ mod tests {
         let (g2, _) = planted_partition(2, 30, 8.0, 0.5, 5);
         for g in [&g2, &g1, &g2] {
             for seed in 0..4 {
-                let reused = louvain_into(g, seed, LouvainConfig::default(), &mut scratch);
+                let reused = louvain_into(g, seed, &mut scratch);
                 let fresh = louvain(g, seed);
                 assert_eq!(reused.best().assignments(), fresh.best().assignments(), "seed {seed}");
                 assert_eq!(reused.modularities, fresh.modularities);

@@ -29,7 +29,7 @@ use btt_cluster::graph::WeightedGraph;
 use btt_cluster::hierarchy::{recursive_louvain, HierarchyConfig};
 use btt_cluster::infomap::infomap;
 use btt_cluster::labelprop::label_propagation;
-use btt_cluster::louvain::{louvain_into, LouvainConfig, LouvainScratch};
+use btt_cluster::louvain::{louvain_into, LouvainScratch};
 use btt_cluster::partition::Partition;
 
 /// Which phase-2 algorithm clusters the measurement graph.
@@ -160,7 +160,7 @@ impl Backend {
     ) -> Partition {
         match self {
             Backend::Clustering(ClusteringAlgorithm::Louvain) => {
-                louvain_into(g, seed, LouvainConfig::default(), scratch).best().clone()
+                louvain_into(g, seed, scratch).best().clone()
             }
             Backend::Clustering(ClusteringAlgorithm::Infomap) => infomap(g, seed).best().clone(),
             Backend::Clustering(ClusteringAlgorithm::LabelPropagation) => {

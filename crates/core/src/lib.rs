@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::dataset::{ip_labels, logical_clusters, Dataset, Scenario};
     pub use crate::diagnosis::{bottleneck_candidates, diagnosed_bottlenecks, BottleneckCandidate};
     pub use crate::pipeline::{
-        analyze, auto_metric_graph, convergence_series, convergence_series_timed,
+        analyze, auto_metric_graph, converged_at, convergence_series, convergence_series_timed,
         degenerate_partition, metric_graph, sparse_metric_graph, ConvergencePoint, InferenceTiming,
         PipelineError, ReliabilityReport, TomographyReport, DEFAULT_PRUNE, SPARSE_NODE_THRESHOLD,
     };

@@ -243,28 +243,33 @@ impl TomographyReport {
         self.convergence.last().expect("at least one iteration")
     }
 
-    /// First iteration count whose oNMI reaches `threshold` and stays there
-    /// for the remainder of the series; `None` if never.
-    ///
-    /// This is how the paper reads Fig. 13 ("after only 2 iterations, the
-    /// clustering is completely in accordance with the ground truth, and
-    /// remains so").
+    /// [`converged_at`] over this report's convergence series.
     pub fn converged_at(&self, threshold: f64) -> Option<u32> {
-        let mut candidate = None;
-        for p in &self.convergence {
-            if p.onmi >= threshold {
-                candidate.get_or_insert(p.iterations);
-            } else {
-                candidate = None;
-            }
-        }
-        candidate
+        converged_at(&self.convergence, threshold)
     }
 
     /// Total simulated measurement time (sum of broadcast makespans).
     pub fn measurement_time(&self) -> f64 {
         self.campaign.total_measurement_time()
     }
+}
+
+/// First iteration count whose oNMI reaches `threshold` and stays there
+/// for the remainder of `series`; `None` if never.
+///
+/// This is how the paper reads Fig. 13 ("after only 2 iterations, the
+/// clustering is completely in accordance with the ground truth, and
+/// remains so").
+pub fn converged_at(series: &[ConvergencePoint], threshold: f64) -> Option<u32> {
+    let mut candidate = None;
+    for p in series {
+        if p.onmi >= threshold {
+            candidate.get_or_insert(p.iterations);
+        } else {
+            candidate = None;
+        }
+    }
+    candidate
 }
 
 /// Wall-clock breakdown of one [`convergence_series_timed`] call, in

@@ -11,39 +11,29 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// Parameters for [`fruchterman_reingold`].
-#[derive(Debug, Clone, Copy)]
-pub struct FrConfig {
-    /// Side length of the layout square.
-    pub size: f64,
-    /// Number of cooling iterations.
-    pub iterations: usize,
-}
+/// Side length of the layout square.
+const SIZE: f64 = 100.0;
 
-impl Default for FrConfig {
-    fn default() -> Self {
-        FrConfig { size: 100.0, iterations: 300 }
-    }
-}
+/// Number of cooling iterations.
+const ITERATIONS: usize = 300;
 
-/// Computes a Fruchterman–Reingold layout. Edge weights scale attraction, so
-/// heavy (high-bandwidth) edges pull nodes together, matching the
-/// inverse-weight convention of the Kamada–Kawai path.
-pub fn fruchterman_reingold(g: &WeightedGraph, seed: u64, cfg: FrConfig) -> Vec<Point2> {
+/// Computes a Fruchterman–Reingold layout in a 100 × 100 box. Edge weights
+/// scale attraction, so heavy (high-bandwidth) edges pull nodes together,
+/// matching the inverse-weight convention of the Kamada–Kawai path.
+pub fn fruchterman_reingold(g: &WeightedGraph, seed: u64) -> Vec<Point2> {
     let n = g.num_nodes();
     if n == 0 {
         return Vec::new();
     }
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut pos: Vec<Point2> = (0..n)
-        .map(|_| Point2::new(rng.gen_range(0.0..cfg.size), rng.gen_range(0.0..cfg.size)))
-        .collect();
+    let mut pos: Vec<Point2> =
+        (0..n).map(|_| Point2::new(rng.gen_range(0.0..SIZE), rng.gen_range(0.0..SIZE))).collect();
     if n == 1 {
         return pos;
     }
 
     // Ideal pairwise distance.
-    let k = cfg.size / (n as f64).sqrt();
+    let k = SIZE / (n as f64).sqrt();
     let mean_w = {
         let total: f64 = g.edges().iter().map(|e| e.2).sum();
         let cnt = g.num_edges().max(1) as f64;
@@ -51,9 +41,9 @@ pub fn fruchterman_reingold(g: &WeightedGraph, seed: u64, cfg: FrConfig) -> Vec<
     };
 
     let mut disp = vec![Point2::default(); n];
-    for iter in 0..cfg.iterations {
+    for iter in 0..ITERATIONS {
         // Linear cooling.
-        let t = cfg.size / 10.0 * (1.0 - iter as f64 / cfg.iterations as f64) + 1e-3;
+        let t = SIZE / 10.0 * (1.0 - iter as f64 / ITERATIONS as f64) + 1e-3;
 
         for d in disp.iter_mut() {
             *d = Point2::default();
@@ -90,7 +80,7 @@ pub fn fruchterman_reingold(g: &WeightedGraph, seed: u64, cfg: FrConfig) -> Vec<
         }
     }
 
-    normalize_to_box(&mut pos, cfg.size);
+    normalize_to_box(&mut pos, SIZE);
     pos
 }
 
@@ -114,7 +104,7 @@ mod tests {
     #[test]
     fn finite_and_boxed() {
         let g = two_heavy_cliques();
-        let pos = fruchterman_reingold(&g, 1, FrConfig::default());
+        let pos = fruchterman_reingold(&g, 1);
         for p in &pos {
             assert!(p.is_finite());
             assert!(p.x >= -1e-6 && p.x <= 100.0 + 1e-6);
@@ -125,7 +115,7 @@ mod tests {
     #[test]
     fn separates_heavy_cliques() {
         let g = two_heavy_cliques();
-        let pos = fruchterman_reingold(&g, 7, FrConfig::default());
+        let pos = fruchterman_reingold(&g, 7);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let mut intra = vec![];
         let mut inter = vec![];
@@ -145,18 +135,18 @@ mod tests {
     #[test]
     fn deterministic_and_seed_sensitive() {
         let g = two_heavy_cliques();
-        let a = fruchterman_reingold(&g, 3, FrConfig::default());
-        let b = fruchterman_reingold(&g, 3, FrConfig::default());
+        let a = fruchterman_reingold(&g, 3);
+        let b = fruchterman_reingold(&g, 3);
         assert_eq!(a, b);
-        let c = fruchterman_reingold(&g, 4, FrConfig::default());
+        let c = fruchterman_reingold(&g, 4);
         assert_ne!(a, c);
     }
 
     #[test]
     fn degenerate_inputs() {
         let g0 = WeightedGraph::from_edges(0, &[]);
-        assert!(fruchterman_reingold(&g0, 0, FrConfig::default()).is_empty());
+        assert!(fruchterman_reingold(&g0, 0).is_empty());
         let g1 = WeightedGraph::from_edges(1, &[]);
-        assert_eq!(fruchterman_reingold(&g1, 0, FrConfig::default()).len(), 1);
+        assert_eq!(fruchterman_reingold(&g1, 0).len(), 1);
     }
 }

@@ -40,7 +40,7 @@ pub mod svg;
 pub mod prelude {
     pub use crate::distances::{inverse_weight_distances, DistanceMatrix};
     pub use crate::dot::to_dot;
-    pub use crate::fruchterman_reingold::{fruchterman_reingold, FrConfig};
+    pub use crate::fruchterman_reingold::fruchterman_reingold;
     pub use crate::geometry::Point2;
     pub use crate::kamada_kawai::{kamada_kawai, stress, KamadaKawaiConfig};
     pub use crate::render::{render, RenderOptions, Rendered, RenderedNode, Shape};

@@ -72,8 +72,8 @@ impl Hasher for FxHasher {
 /// splitmix64: mixes a 64-bit value into a well-distributed 64-bit value.
 ///
 /// Used to derive independent RNG seeds for parallel broadcast iterations
-/// (`seed_for_iteration`), so results are identical regardless of how rayon
-/// schedules them.
+/// (`seed_for_iteration`), so results are identical however the campaign's
+/// worker pool schedules them.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -22,8 +22,8 @@ use serde::{Deserialize, Serialize};
 /// Peers are swarm-local indices `0..n`, not topology node ids; callers keep
 /// the mapping.
 ///
-/// The representation is sparse: a broadcast over a `max_peers`-bounded
-/// overlay touches O(n · max_peers) pairs, so the dense n² matrix this
+/// The representation is sparse: a broadcast over a `MAX_PEERS`-bounded
+/// overlay touches O(n · MAX_PEERS) pairs, so the dense n² matrix this
 /// replaces was ~99% zeros at 1000 hosts — 8 MB allocated, faulted in, and
 /// scanned per run for ~35k live counters. Entries are kept sorted by packed
 /// key `src * n + dst`, which makes the form canonical: two matrices with
@@ -168,7 +168,7 @@ impl FragmentMatrix {
 ///
 /// Nothing is stored per host pair. The sums live alongside the sorted
 /// nonzero registry (16 B per nonzero edge); the overlay bounds each host to
-/// a few dozen peers, so that is O(n · max_peers). Observation counts are
+/// a few dozen peers, so that is O(n · MAX_PEERS). Observation counts are
 /// derived rather than stored: runs where everyone participated are one
 /// counter, and each *partial* run sets one bit in a per-host participation
 /// signature, so a pair's count is the full-run counter plus the popcount of

@@ -39,7 +39,10 @@
 //! results — that equivalence is pinned by `tests/engine_equivalence.rs`.
 
 use crate::bitfield::Bitfield;
-use crate::config::{DriveMode, SwarmConfig};
+use crate::config::{
+    DriveMode, SwarmConfig, IDLE_GRACE, MAX_PEERS, OPTIMISTIC_INTERVAL, RANDOM_FIRST_PIECES,
+    RATE_WINDOW, RECHOKE_INTERVAL, REGULAR_SLOTS, STEP, UPLOAD_SLOTS,
+};
 use crate::metrics::FragmentMatrix;
 use crate::rate::RateEstimator;
 use crate::selection::{pick_piece, PickContext};
@@ -48,6 +51,7 @@ use btt_netsim::engine::{CompletionKind, FlowId, SimNet};
 use btt_netsim::perturb::{Perturbation, PerturbationSchedule};
 use btt_netsim::routing::RouteTable;
 use btt_netsim::topology::NodeId;
+use btt_netsim::units::FRAGMENT_BYTES;
 use btt_netsim::util::FxHashMap;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -165,7 +169,7 @@ pub struct Swarm {
     peers: Vec<Peer>,
     /// Per-piece availability among each peer's neighbors, flattened to one
     /// `n × num_pieces` array (`avail[p * num_pieces + piece]`). HAVE
-    /// propagation touches ~`max_peers` random peers' counters per fragment;
+    /// propagation touches ~[`MAX_PEERS`] random peers' counters per fragment;
     /// keeping them in one compact array (128 KB at 1000 hosts × 128
     /// pieces) instead of a per-peer heap `Vec` turns that scatter into
     /// cache hits.
@@ -218,7 +222,7 @@ pub struct Swarm {
     /// Flat mirror of every peer's `have` bitfield words
     /// (`have_words[p * words_per_peer + w]`), kept in sync at the two
     /// sites that mutate piece state (root init, fragment completion).
-    /// HAVE propagation tests ~`max_peers` random neighbors' bits per
+    /// HAVE propagation tests ~[`MAX_PEERS`] random neighbors' bits per
     /// announcement; one row here is a single cache line at 512 pieces,
     /// where `peers[u].have.get(..)` chases two scattered pointers.
     have_words: Vec<u64>,
@@ -243,7 +247,7 @@ pub struct Swarm {
 pub struct SwarmProf {
     /// The engine's counters (events, marks, solver phases).
     pub engine: btt_netsim::prof::EngineProf,
-    /// Choker evaluations ([`SwarmConfig::rechoke_interval`] rounds plus
+    /// Choker evaluations ([`RECHOKE_INTERVAL`] rounds plus
     /// event-triggered re-chokes).
     pub rechoke_passes: u64,
     /// Transfer-servicing calls (delivery marks, rechoke boundaries, wakes).
@@ -329,7 +333,7 @@ impl Swarm {
         assert!(root < n, "root index out of range");
 
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let graph = PeerGraph::random(n, cfg.max_peers, &mut rng);
+        let graph = PeerGraph::random(n, MAX_PEERS, &mut rng);
 
         // Mirror positions: pos_of[u][i] = index of i in u's neighbor list.
         let pos_of: Vec<FxHashMap<u32, u32>> = (0..n)
@@ -367,8 +371,8 @@ impl Swarm {
                             im_interested: !is_root && p as usize == root,
                             they_interested: false,
                             am_unchoking: false,
-                            rate_from: RateEstimator::new(cfg.rate_window),
-                            rate_to: RateEstimator::new(cfg.rate_window),
+                            rate_from: RateEstimator::new(RATE_WINDOW),
+                            rate_to: RateEstimator::new(RATE_WINDOW),
                             link_rate_from: (0.0, f64::NEG_INFINITY),
                             link_rate_to: (0.0, f64::NEG_INFINITY),
                             transfer: None,
@@ -392,7 +396,7 @@ impl Swarm {
         // Batch fairness re-solves on the protocol step — the same
         // rate-staleness bound the legacy fixed-step engine had. This keeps
         // per-fragment cost flat at 1000+ hosts.
-        net.set_rate_refresh(cfg.step);
+        net.set_rate_refresh(STEP);
         let host_index: FxHashMap<NodeId, u32> =
             hosts.iter().enumerate().map(|(i, &h)| (h, i as u32)).collect();
         let mut status = vec![0u8; n];
@@ -490,12 +494,13 @@ impl Swarm {
         self.incomplete == 0
     }
 
-    /// Runs protocol timers and advances by at most one fixed step,
+    /// Runs protocol timers and advances by at most [`STEP`] seconds,
     /// processing any fragment completions inside it. Returns the new sim
     /// time. (Manual drivers get fixed-step pacing; `run` jumps
-    /// completion-to-completion when the config says so.)
+    /// completion-to-completion unless [`SwarmConfig::drive`] says
+    /// [`DriveMode::FixedStep`].)
     pub fn step(&mut self) -> f64 {
-        self.slice(self.cfg.step)
+        self.slice(STEP)
     }
 
     /// One slice of the drive loop: apply due perturbations, run due timers,
@@ -753,7 +758,7 @@ impl Swarm {
             };
             self.peers[u].nbrs[pos].im_interested = u_wants;
             self.peers[d].nbrs[j].they_interested = u_wants;
-            if d_wants && self.unchoked_count(u) < self.cfg.upload_slots {
+            if d_wants && self.unchoked_count(u) < UPLOAD_SLOTS {
                 rechoke.push(u);
             }
         }
@@ -803,22 +808,21 @@ impl Swarm {
                 vp.completed_at.is_none() && vp.have.is_interested_in(&up.have),
             )
         };
-        let mk_nbr = |peer: u32, pos_at_peer: u32, im: bool, they: bool, window: f64| Nbr {
+        let mk_nbr = |peer: u32, pos_at_peer: u32, im: bool, they: bool| Nbr {
             peer,
             pos_at_peer,
             im_interested: im,
             they_interested: they,
             am_unchoking: false,
-            rate_from: RateEstimator::new(window),
-            rate_to: RateEstimator::new(window),
+            rate_from: RateEstimator::new(RATE_WINDOW),
+            rate_to: RateEstimator::new(RATE_WINDOW),
             link_rate_from: (0.0, f64::NEG_INFINITY),
             link_rate_to: (0.0, f64::NEG_INFINITY),
             transfer: None,
             frags: 0,
         };
-        let window = self.cfg.rate_window;
-        self.peers[u].nbrs.push(mk_nbr(v as u32, pos_v, u_wants, v_wants, window));
-        self.peers[v].nbrs.push(mk_nbr(u as u32, pos_u, v_wants, u_wants, window));
+        self.peers[u].nbrs.push(mk_nbr(v as u32, pos_v, u_wants, v_wants));
+        self.peers[v].nbrs.push(mk_nbr(u as u32, pos_u, v_wants, u_wants));
         let (urow, vrow) = (u * pieces as usize, v * pieces as usize);
         for p in 0..pieces {
             if self.peers[v].have.get(p) {
@@ -830,10 +834,10 @@ impl Swarm {
                 *slot = slot.saturating_add(1);
             }
         }
-        if u_wants && self.unchoked_count(v) < self.cfg.upload_slots {
+        if u_wants && self.unchoked_count(v) < UPLOAD_SLOTS {
             self.rechoke_peer(v, false);
         }
-        if v_wants && self.unchoked_count(u) < self.cfg.upload_slots {
+        if v_wants && self.unchoked_count(u) < UPLOAD_SLOTS {
             self.rechoke_peer(u, false);
         }
         self.retry_queue.push(u as u32);
@@ -848,11 +852,11 @@ impl Swarm {
         self.service_all();
         self.flush_haves();
         let rounds_per_optimistic =
-            (self.cfg.optimistic_interval / self.cfg.rechoke_interval).round().max(1.0) as u64;
+            (OPTIMISTIC_INTERVAL / RECHOKE_INTERVAL).round().max(1.0) as u64;
         let rotate = self.rechoke_round.is_multiple_of(rounds_per_optimistic);
         self.rechoke_all(rotate);
         self.rechoke_round += 1;
-        self.next_rechoke += self.cfg.rechoke_interval;
+        self.next_rechoke += RECHOKE_INTERVAL;
         self.events += 1;
         self.flush_haves();
         self.retry_all_dormant();
@@ -934,7 +938,6 @@ impl Swarm {
     fn service_pair(&mut self, d: usize, j: usize, on_mark: bool) {
         self.prof.service_calls += 1;
         let now = self.net.time();
-        let piece_bytes = self.cfg.piece_bytes;
         let (flow, u, pos) = {
             let nb = &self.peers[d].nbrs[j];
             match &nb.transfer {
@@ -961,10 +964,10 @@ impl Swarm {
                 // Active piece: complete it if the bytes are in.
                 {
                     let t = self.peers[d].nbrs[j].transfer.as_mut().expect("transfer present");
-                    if t.got + 1e-6 < piece_bytes {
+                    if t.got + 1e-6 < FRAGMENT_BYTES {
                         break; // mark still armed at the piece boundary
                     }
-                    t.got -= piece_bytes;
+                    t.got -= FRAGMENT_BYTES;
                     t.piece = None;
                 }
 
@@ -1012,7 +1015,7 @@ impl Swarm {
                     inflight: dp.inflight.words(),
                     avail: &avail[d * pp..(d + 1) * pp],
                     endgame: dp.remaining() <= cfg.endgame_pieces,
-                    random_first: dp.have.count() < cfg.random_first_pieces,
+                    random_first: dp.have.count() < RANDOM_FIRST_PIECES,
                 };
                 pick_piece(cfg.selection, &ctx, rng)
             };
@@ -1021,7 +1024,7 @@ impl Swarm {
                     self.peers[d].inflight.set(p);
                     let t = self.peers[d].nbrs[j].transfer.as_mut().expect("transfer present");
                     t.piece = Some(p);
-                    if t.got + 1e-6 >= piece_bytes {
+                    if t.got + 1e-6 >= FRAGMENT_BYTES {
                         continue; // read-ahead already covers it: complete now
                     }
                     // Service batching: on fast streams, let one mark cover
@@ -1029,7 +1032,7 @@ impl Swarm {
                     // complete per event (the legacy engine's 50 ms service
                     // cadence); on slow streams the piece boundary is
                     // further out than a step and marks stay piece-exact.
-                    let ahead = (piece_bytes - t.got).max(self.net.flow_rate(flow) * self.cfg.step);
+                    let ahead = (FRAGMENT_BYTES - t.got).max(self.net.flow_rate(flow) * STEP);
                     self.net.set_delivery_mark(flow, ahead);
                     break;
                 }
@@ -1043,8 +1046,7 @@ impl Swarm {
                     // tears the stream down.
                     if completed_any || !entered_idle {
                         // Idleness begins (or re-begins) now: arm the grace.
-                        let grace =
-                            (self.net.flow_rate(flow) * self.cfg.idle_grace).max(piece_bytes);
+                        let grace = (self.net.flow_rate(flow) * IDLE_GRACE).max(FRAGMENT_BYTES);
                         self.net.set_delivery_mark(flow, grace);
                     } else if on_mark {
                         // The grace window itself fired with nothing new:
@@ -1103,7 +1105,7 @@ impl Swarm {
                 inflight: dp.inflight.words(),
                 avail: &avail[d * pp..(d + 1) * pp],
                 endgame: dp.remaining() <= cfg.endgame_pieces,
-                random_first: dp.have.count() < cfg.random_first_pieces,
+                random_first: dp.have.count() < RANDOM_FIRST_PIECES,
             };
             pick_piece(cfg.selection, &ctx, rng)
         };
@@ -1111,7 +1113,7 @@ impl Swarm {
             self.peers[d].inflight.set(p);
             let flow =
                 self.net.start_flow(self.peers[u].host, self.peers[d].host, None, pair_tag(d, j));
-            let ahead = self.cfg.piece_bytes.max(self.net.flow_rate(flow) * self.cfg.step);
+            let ahead = FRAGMENT_BYTES.max(self.net.flow_rate(flow) * STEP);
             self.net.set_delivery_mark(flow, ahead);
             self.peers[d].nbrs[j].transfer = Some(Transfer { flow, piece: Some(p), got: 0.0 });
         }
@@ -1226,7 +1228,7 @@ impl Swarm {
                         // pairs flap interest at every announcement, so skipping
                         // the re-choke here is what keeps HAVE processing O(1).
                         if !self.peers[owner].nbrs[j].am_unchoking
-                            && self.unchoked_count(owner) < self.cfg.upload_slots
+                            && self.unchoked_count(owner) < UPLOAD_SLOTS
                         {
                             self.rechoke_peer(owner, false);
                         }
@@ -1283,13 +1285,12 @@ impl Swarm {
         self.prof.rechoke_passes += 1;
         let now = self.net.time();
         {
-            let Self { cfg, peers, rng, scratch_cands: cands, scratch_decisions, .. } = self;
+            let Self { peers, rng, scratch_cands: cands, scratch_decisions, .. } = self;
             let completed = peers[p].completed_at.is_some();
             let pr = &mut peers[p];
 
             // Score interested neighbors: measured link capacity while a
             // recent transfer ran, else the byte-rate estimate.
-            let window = cfg.rate_window;
             cands.clear();
             for (j, nb) in pr.nbrs.iter_mut().enumerate() {
                 if !nb.they_interested {
@@ -1300,18 +1301,18 @@ impl Swarm {
                 } else {
                     (nb.rate_from.rate(now), nb.link_rate_from)
                 };
-                let score = if now - cap_at <= window { est.max(cap) } else { est };
+                let score = if now - cap_at <= RATE_WINDOW { est.max(cap) } else { est };
                 cands.push((score, rng.gen::<u64>(), j as u32));
             }
             // Highest score first; random tie-break.
             cands.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
             // The regular slots are the sorted prefix; the optimistic pool
             // is everything after it (both are views, no copies).
-            let k = cfg.regular_slots.min(cands.len());
+            let k = REGULAR_SLOTS.min(cands.len());
             let (regular, pool) = cands.split_at(k);
 
             // Optimistic slots among the remaining interested neighbors.
-            let opt_slots = cfg.upload_slots - cfg.regular_slots.min(cfg.upload_slots);
+            let opt_slots = UPLOAD_SLOTS - REGULAR_SLOTS;
             if rotate_optimistic {
                 pr.optimistic.clear();
             } else {
@@ -1369,7 +1370,7 @@ impl Swarm {
     pub fn run(mut self) -> RunOutcome {
         let max_dt = match self.cfg.drive {
             DriveMode::EventDriven => f64::INFINITY,
-            DriveMode::FixedStep => self.cfg.step,
+            DriveMode::FixedStep => STEP,
         };
         while self.incomplete + self.down_incomplete > 0 && self.net.time() < self.cfg.max_sim_time
         {

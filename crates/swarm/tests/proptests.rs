@@ -212,7 +212,7 @@ proptest! {
         let cfg = SwarmConfig { num_pieces: pieces, endgame_pieces: 0, ..SwarmConfig::default() };
         let out = run_broadcast(&routes, &hosts, 0, &cfg, seed);
         prop_assert!(out.finished);
-        let file_bytes = pieces as f64 * cfg.piece_bytes;
+        let file_bytes = cfg.file_bytes();
         let uplink = Bandwidth::from_mbps(mbps).bytes_per_sec();
         let lower = file_bytes / uplink;
         prop_assert!(out.makespan >= lower * 0.99,
@@ -300,8 +300,8 @@ proptest! {
         }
     }
 
-    /// Campaign determinism under arbitrary seeds (rayon-parallel execution
-    /// must not leak scheduling nondeterminism into results).
+    /// Campaign determinism under arbitrary seeds (the worker pool's
+    /// scheduling must not leak nondeterminism into results).
     #[test]
     fn campaigns_reproduce_bitwise(seed in any::<u64>()) {
         let (routes, hosts) = star(5, 500.0);
