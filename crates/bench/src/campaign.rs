@@ -99,10 +99,7 @@ impl SweepSpec {
         SweepSpec {
             scenarios: ScenarioSpec::parse_list("2x2,star:3x6:0.1:6,wan:3x4:0.2")
                 .expect("default scenarios parse"),
-            backends: vec![
-                ClusteringAlgorithm::Louvain.into(),
-                ClusteringAlgorithm::LabelPropagation.into(),
-            ],
+            backends: vec![Backend::Louvain, Backend::LabelPropagation],
             seeds: vec![2012],
             iterations: Some(10),
             pieces: 512,
@@ -624,10 +621,7 @@ mod tests {
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
             scenarios: ScenarioSpec::parse_list("2x2,wan:2x2:0.25").unwrap(),
-            backends: vec![
-                ClusteringAlgorithm::Louvain.into(),
-                ClusteringAlgorithm::LabelPropagation.into(),
-            ],
+            backends: vec![Backend::Louvain, Backend::LabelPropagation],
             seeds: vec![7],
             iterations: Some(2),
             pieces: 48,
@@ -642,8 +636,8 @@ mod tests {
         let runs = spec.expand();
         assert_eq!(runs.len(), 4);
         assert_eq!(runs[0].scenario.id(), "2x2");
-        assert_eq!(runs[0].backend, Backend::Clustering(ClusteringAlgorithm::Louvain));
-        assert_eq!(runs[1].backend, Backend::Clustering(ClusteringAlgorithm::LabelPropagation));
+        assert_eq!(runs[0].backend, Backend::Louvain);
+        assert_eq!(runs[1].backend, Backend::LabelPropagation);
         assert_eq!(runs[2].scenario.id(), "wan:2x2:0.25");
     }
 
@@ -677,10 +671,7 @@ mod tests {
     #[test]
     fn backend_lists_parse_and_reject_duplicates() {
         let parsed = parse_backend_list("Clustering, ADD").unwrap();
-        assert_eq!(
-            parsed,
-            vec![Backend::Clustering(ClusteringAlgorithm::Louvain), Backend::Additive]
-        );
+        assert_eq!(parsed, vec![Backend::Louvain, Backend::Additive]);
         // Duplicates are rejected by resolved backend, not by spelling: the
         // error names the entry as the user wrote it.
         let err = parse_backend_list("louvain,additive,CLUSTERING").unwrap_err();
@@ -738,7 +729,7 @@ mod tests {
     fn summary_csv_carries_reliability_columns() {
         let spec = SweepSpec {
             scenarios: ScenarioSpec::parse_list("wan:2x4:0.25+churn=0.4").unwrap(),
-            backends: vec![ClusteringAlgorithm::Louvain.into()],
+            backends: vec![Backend::Louvain],
             seeds: vec![2012],
             iterations: Some(3),
             pieces: 64,
@@ -769,7 +760,7 @@ mod tests {
         fs::write(dir.join("data.csv"), "a,b\n").unwrap();
         let spec = SweepSpec {
             scenarios: ScenarioSpec::parse_list("2x2").unwrap(),
-            backends: vec![ClusteringAlgorithm::Louvain.into()],
+            backends: vec![Backend::Louvain],
             seeds: vec![1],
             iterations: Some(1),
             pieces: 48,
@@ -794,11 +785,7 @@ mod tests {
         // that scored zero or nonzero on the same campaign.
         let spec = SweepSpec {
             scenarios: ScenarioSpec::parse_list("wan:2x2:0.25").unwrap(),
-            backends: vec![
-                ClusteringAlgorithm::Louvain.into(),
-                ClusteringAlgorithm::LabelPropagation.into(),
-                Backend::Additive,
-            ],
+            backends: vec![Backend::Louvain, Backend::LabelPropagation, Backend::Additive],
             seeds: vec![7, 8],
             iterations: Some(2),
             pieces: 48,
@@ -882,7 +869,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("btt-campaign-test-{}", std::process::id()));
         let spec = SweepSpec {
             scenarios: ScenarioSpec::parse_list("2x2").unwrap(),
-            backends: vec![ClusteringAlgorithm::Louvain.into()],
+            backends: vec![Backend::Louvain],
             seeds: vec![3],
             iterations: Some(2),
             pieces: 48,

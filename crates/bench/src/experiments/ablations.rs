@@ -18,12 +18,7 @@ use std::sync::Arc;
 /// measurements. The paper found Infomap "does not perform as well as
 /// modularity based clustering for this particular problem".
 pub fn ablation_infomap(ctx: &mut ReproCtx) {
-    let backends = [
-        ClusteringAlgorithm::Louvain,
-        ClusteringAlgorithm::Infomap,
-        ClusteringAlgorithm::LabelPropagation,
-    ]
-    .map(Backend::from);
+    let backends = [Backend::Louvain, Backend::Infomap, Backend::LabelPropagation];
     let mut rows = vec![vec![
         "dataset".into(),
         "algorithm".into(),
@@ -88,12 +83,8 @@ pub fn ablation_selection(ctx: &mut ReproCtx) {
             RootPolicy::Fixed(0),
             ctx.seed,
         );
-        let series = convergence_series(
-            &campaign,
-            &scenario.ground_truth,
-            ClusteringAlgorithm::Louvain,
-            ctx.seed,
-        );
+        let series =
+            convergence_series(&campaign, &scenario.ground_truth, Backend::Louvain, ctx.seed);
         let conv = converged_at(&series, 0.999);
         let final_onmi = series.last().map_or(0.0, |p| p.onmi);
         let mean_makespan =
@@ -131,12 +122,8 @@ pub fn ablation_root(ctx: &mut ReproCtx) {
     for (name, policy) in policies {
         let campaign =
             run_campaign(&scenario.routes, &scenario.hosts, &cfg, iters, policy, ctx.seed);
-        let series = convergence_series(
-            &campaign,
-            &scenario.ground_truth,
-            ClusteringAlgorithm::Louvain,
-            ctx.seed,
-        );
+        let series =
+            convergence_series(&campaign, &scenario.ground_truth, Backend::Louvain, ctx.seed);
         let conv = converged_at(&series, 0.999);
         let final_onmi = series.last().map_or(0.0, |p| p.onmi);
         rows.push(vec![
@@ -188,7 +175,7 @@ pub fn ablation_load(ctx: &mut ReproCtx) {
             metric.push_run(&r.fragments);
         }
         let campaign = Campaign { runs, metric };
-        let series = convergence_series(&campaign, &truth, ClusteringAlgorithm::Louvain, ctx.seed);
+        let series = convergence_series(&campaign, &truth, Backend::Louvain, ctx.seed);
         let conv = converged_at(&series, 0.999);
         let final_onmi = series.last().map_or(0.0, |p| p.onmi);
         let mean_makespan =

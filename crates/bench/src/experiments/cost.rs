@@ -43,7 +43,7 @@ pub fn cost_comparison(ctx: &mut ReproCtx) {
         let cfg = SwarmConfig { num_pieces: ctx.effective_pieces(), ..SwarmConfig::default() };
         let iters = 10u32;
         let campaign = run_campaign(&routes, &hosts, &cfg, iters, RootPolicy::Fixed(0), ctx.seed);
-        let series = convergence_series(&campaign, &truth, ClusteringAlgorithm::Louvain, ctx.seed);
+        let series = convergence_series(&campaign, &truth, Backend::Louvain, ctx.seed);
         let needed = converged_at(&series, 0.999).unwrap_or(iters) as usize;
         let bt_time: f64 = campaign.runs.iter().take(needed).map(|r| r.makespan).sum();
         let bt_onmi = series.last().map_or(0.0, |p| p.onmi);

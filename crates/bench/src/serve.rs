@@ -509,10 +509,11 @@ pub fn serve(config: ServeConfig) -> io::Result<ServerHandle> {
 }
 
 /// One connection: read request lines, answer each with one response line.
-/// I/O errors (client gone) and lines that are not UTF-8 end the
-/// connection; malformed requests get typed error responses and the
-/// connection lives on, except a line over [`MAX_REQUEST_BYTES`], whose
-/// error response is the connection's last.
+/// An I/O error (client gone) ends the connection. A malformed request,
+/// whether not UTF-8, not JSON or carrying a bad field, gets a typed error
+/// response and the connection lives on, except a line over
+/// [`MAX_REQUEST_BYTES`]: reading stopped inside it, so its error response
+/// is the connection's last.
 fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = io::BufWriter::new(write_half);
@@ -537,12 +538,8 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
             }
             .to_response()
         } else {
-            let Ok(line) = std::str::from_utf8(&bytes) else { break };
-            let line = line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
-            if line.trim().is_empty() {
-                continue;
-            }
-            handle_request(&shared, addr, line)
+            let Some(response) = answer_line(&shared, addr, &bytes) else { continue };
+            response
         };
         let mut text = response.render();
         text.push('\n');
@@ -563,13 +560,26 @@ fn ok_response(kind: &str, extra: Vec<(&str, Json)>) -> Json {
     Json::obj(fields)
 }
 
-/// Parses and dispatches one request line. Pure apart from job spawning:
-/// always returns exactly one response document.
-fn handle_request(shared: &Arc<Shared>, addr: SocketAddr, line: &str) -> Json {
-    match dispatch(shared, addr, line) {
-        Ok(response) => response,
-        Err(e) => e.to_response(),
+/// Decodes and answers one request line, its `\n` or `\r\n` terminator
+/// optional: `None` for a blank line, which gets no response, and otherwise
+/// exactly one response document. Pure apart from job spawning. A line that
+/// is not UTF-8 gets a typed `malformed_request` naming `request` and the
+/// offset of its first invalid byte.
+fn answer_line(shared: &Arc<Shared>, addr: SocketAddr, bytes: &[u8]) -> Option<Json> {
+    let line = match std::str::from_utf8(bytes) {
+        Ok(line) => line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l)),
+        Err(e) => {
+            let error = ServeError::MalformedRequest {
+                field: "request".to_string(),
+                message: format!("not UTF-8: invalid byte at offset {}", e.valid_up_to()),
+            };
+            return Some(error.to_response());
+        }
+    };
+    if line.trim().is_empty() {
+        return None;
     }
+    Some(dispatch(shared, addr, line).unwrap_or_else(|e| e.to_response()))
 }
 
 fn dispatch(shared: &Arc<Shared>, addr: SocketAddr, line: &str) -> Result<Json, ServeError> {
@@ -1269,5 +1279,308 @@ mod tests {
         // ...but the in-flight job is drained to completion, not dropped.
         let stats = server.wait().unwrap();
         assert_eq!(stats, ServeStats { submitted: 1, completed: 1, failed: 0 });
+    }
+
+    #[test]
+    fn non_utf8_request_line_gets_a_typed_error_and_the_connection_survives() {
+        let server = start();
+        let mut client = ServeClient::connect(&server.addr()).unwrap();
+        let ping = ServeClient::envelope("ping", vec![]);
+        let pong = client.request(&ping).unwrap();
+        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+
+        // The same request with one 0xFF byte before its newline. The whole
+        // line was read, so the stream is still in step: the line gets a
+        // typed error naming where its bad byte sits, and the connection
+        // stays open. The read timeout turns a daemon that never answers
+        // into a failure.
+        client.writer.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+        let text = ping.render();
+        let mut line = text.clone().into_bytes();
+        line.extend_from_slice(b"\xFF\n");
+        client.writer.write_all(&line).unwrap();
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).unwrap();
+        let resp = btt_core::serialize::json::parse(&reply).unwrap();
+        let err = resp.get("error").expect("a line that is not UTF-8 is an error");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("malformed_request"));
+        assert_eq!(err.get("field").and_then(Json::as_str), Some("request"));
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(&format!("offset {}", text.len())), "{message}");
+
+        let pong = client.request(&ping).unwrap();
+        assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
+        server.shutdown();
+        assert_eq!(server.wait().unwrap().submitted, 0);
+    }
+
+    /// The request decoders under arbitrary input: each yields a value or
+    /// a typed error, never a panic.
+    mod fuzz {
+        use super::*;
+        use btt_core::serialize::json;
+        use btt_netsim::util::splitmix64;
+        use proptest::prelude::*;
+
+        /// Input byte strings of up to 2 KiB: a valid input drawn from
+        /// `valid`, then up to eight edits, each inserting one of the
+        /// `|`-separated `tokens` or a run of arbitrary bytes, overwriting a
+        /// byte, deleting a few, or truncating. Unedited cases keep the
+        /// accepting paths covered; edited ones reach the error paths past
+        /// the first byte.
+        fn edited(
+            valid: impl Strategy<Value = String>,
+            tokens: &'static str,
+        ) -> impl Strategy<Value = Vec<u8>> {
+            let tokens: Vec<&str> = tokens.split('|').collect();
+            let edit = (0..5u8, any::<u64>(), 0..tokens.len(), any::<u64>());
+            (valid, proptest::collection::vec(edit, 0..=8)).prop_map(move |(text, edits)| {
+                let mut bytes = text.into_bytes();
+                for (kind, at, token, noise) in edits {
+                    let at = (at % (bytes.len() as u64 + 1)) as usize;
+                    match kind {
+                        0 => drop(bytes.splice(at..at, tokens[token].bytes())),
+                        1 => {
+                            let run = (0..noise % 257).map(|i| splitmix64(noise ^ i) as u8);
+                            drop(bytes.splice(at..at, run));
+                        }
+                        2 if at < bytes.len() => bytes[at] = noise as u8,
+                        3 => drop(bytes.drain(at..(at + 1 + noise as usize % 16).min(bytes.len()))),
+                        _ => bytes.truncate(at),
+                    }
+                }
+                bytes.truncate(2048);
+                bytes
+            })
+        }
+
+        const JSON_TOKENS: &str = "{|}|[|]|,|:| |\t|\"|\\|\\u|d83d|\\ude00|\"k\"|0|-|.|e|+|1e999|\
+            18446744073709551616|-9223372036854775809|null|true|fals|é|\u{1F600}|\u{0}";
+
+        const SCENARIO_TOKENS: &str = "wan|star|fat-tree|:|x|+|=|churn|xtraffic|degrade|0|1|2|\
+            16|65536|4294967296|18446744073709551616|0.5|1e308|1e-300|-|.|NaN|inf| |wan-512-churn|\
+            fat-tree-1k|G-T|2x2|é";
+
+        const WIRE_TOKENS: &str = "{|}|[|]|,|:|\"|\"schema\"|\"btt-serve-v1\"|\"kind\"|\"ping\"|\
+            \"list\"|\"status\"|\"snapshot\"|\"report\"|\"submit\"|\"shutdown\"|\"job_id\"|\"job\"|\
+            0|-1|1e999|null| |\r|\n|\u{0}|é";
+
+        /// Valid spec strings of every family, preset and suffix form.
+        const SCENARIOS: [&str; 16] = [
+            "2x2",
+            "b-g-t-l",
+            "wan-512",
+            "wan-512-churn",
+            "fat-tree-1k",
+            "edge-2k",
+            "wan:2x3:0.25",
+            "wan:2x2:0.5:20",
+            "star:2x3:0.2:3",
+            "star:3x4",
+            "fat-tree:2x2x3:4:1",
+            "fattree:2x2x2",
+            "wan:16x32:0.5+churn=0.05+xtraffic=0.2",
+            "G-T+churn=0.1",
+            "wan-512+degrade=0.3",
+            "wan:2x2+churn=0",
+        ];
+
+        /// The seven job spec fields, then keys no spec has.
+        const JOB_KEYS: [&str; 10] = [
+            "scenario",
+            "backend",
+            "seed",
+            "iterations",
+            "pieces",
+            "recluster_every",
+            "threads",
+            "algorithm",
+            "Scenario",
+            "",
+        ];
+
+        /// Spec strings a job's `scenario` may meet: half run, half cannot.
+        const JOB_SCENARIOS: [&str; 8] = [
+            "2x2",
+            "wan:2x3:0.25",
+            "star:2x3:0.2:3+churn=0.1",
+            "wan-512-churn",
+            "wan:1x1",
+            "wan:100000x100000",
+            "wan:2x2:0.5:1e308",
+            "not-a-spec",
+        ];
+
+        const BACKENDS: [&str; 6] = ["louvain", "IM", "add", "clustering", "quantum", ""];
+
+        /// The edges of every integer field's range.
+        const UINTS: [u64; 11] = [
+            0,
+            1,
+            2,
+            64,
+            MAX_JOB_ITERATIONS as u64,
+            MAX_JOB_ITERATIONS as u64 + 1,
+            MAX_JOB_PIECES as u64,
+            MAX_JOB_PIECES as u64 + 1,
+            u32::MAX as u64,
+            u32::MAX as u64 + 1,
+            u64::MAX,
+        ];
+
+        fn pick<T: Copy>(items: &[T], seed: u64) -> T {
+            items[(seed % items.len() as u64) as usize]
+        }
+
+        /// Any JSON value, grown from `seed`: every number variant (NaN and
+        /// the infinities among the floats), spec strings, and arrays and
+        /// objects nested up to `depth` levels.
+        fn json_value(seed: u64, depth: u32) -> Json {
+            let next = splitmix64(seed);
+            match seed % if depth == 0 { 7 } else { 9 } {
+                0 => Json::Null,
+                1 => Json::Bool(next & 1 == 1),
+                2 => Json::UInt(next >> (next % 64)),
+                3 => Json::Int(i64::MIN >> (next % 64)),
+                4 => Json::Float(f64::from_bits(next)),
+                5 => Json::UInt(pick(&UINTS, next)),
+                6 => Json::Str(pick(&JOB_SCENARIOS, next).to_string()),
+                7 => Json::Array((0..next % 4).map(|i| json_value(next ^ i, depth - 1)).collect()),
+                _ => Json::Object(
+                    (0..next % 4)
+                        .map(|i| {
+                            (
+                                pick(&JOB_KEYS, next >> i).to_string(),
+                                json_value(next ^ i, depth - 1),
+                            )
+                        })
+                        .collect(),
+                ),
+            }
+        }
+
+        /// A `job` object: each spec field present half the time (the
+        /// required `scenario` seven times in eight), each junk key one time
+        /// in eight. A present field's value is random JSON one time in
+        /// four, otherwise one of its own spellings or range edges.
+        fn job_object(seeds: &[u64]) -> Json {
+            let fields = JOB_KEYS.iter().zip(seeds).filter_map(|(&key, &seed)| {
+                let present = match key {
+                    "scenario" => seed % 8 < 7,
+                    _ if JOB_KEYS[..7].contains(&key) => seed % 8 < 4,
+                    _ => seed % 8 == 0,
+                };
+                let value = match (key, seed >> 3) {
+                    (_, s) if s % 4 == 0 => json_value(s >> 2, 1),
+                    ("scenario", s) => Json::Str(pick(&JOB_SCENARIOS, s >> 2).to_string()),
+                    ("backend", s) => Json::Str(pick(&BACKENDS, s >> 2).to_string()),
+                    (_, s) => Json::UInt(pick(&UINTS, s >> 2)),
+                };
+                present.then(|| (key.to_string(), value))
+            });
+            Json::Object(fields.collect())
+        }
+
+        /// A well-formed request line of any verb but `shutdown`, with its
+        /// newline. Its `submit` carries a job with three faults, so no few
+        /// edits make it one that runs.
+        fn request_line(seed: u64) -> String {
+            let job_id = ("job_id", json_value(seed >> 3, 1));
+            let job = Json::obj(vec![
+                ("scenario", Json::Str("wan:1x1".to_string())),
+                ("pieces", Json::UInt(0)),
+                ("turbo_mode", Json::Bool(true)),
+            ]);
+            let (kind, fields) = match seed % 7 {
+                0 => ("ping", vec![]),
+                1 => ("list", vec![]),
+                2 => ("status", vec![job_id]),
+                3 => ("snapshot", vec![job_id]),
+                4 => ("report", vec![job_id]),
+                5 => ("submit", vec![("job", job)]),
+                _ => ("frobnicate", vec![]),
+            };
+            format!("{}\n", ServeClient::envelope(kind, fields).render())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any text parses or fails at an offset inside it.
+            #[test]
+            fn json_parse_answers_any_text(
+                bytes in edited(any::<u64>().prop_map(|s| json_value(s, 3).render()), JSON_TOKENS),
+            ) {
+                let text = String::from_utf8_lossy(&bytes);
+                if let Err(e) = json::parse(&text) {
+                    prop_assert!(e.at <= text.len(), "error at {} past {} bytes", e.at, text.len());
+                }
+            }
+
+            /// Any text is a spec whose id parses back to it, or an error.
+            #[test]
+            fn scenario_parse_answers_any_text(
+                bytes in edited(
+                    (0..SCENARIOS.len()).prop_map(|i| SCENARIOS[i].to_string()),
+                    SCENARIO_TOKENS,
+                ),
+            ) {
+                let text = String::from_utf8_lossy(&bytes);
+                if let Ok(spec) = ScenarioSpec::parse(&text) {
+                    prop_assert_eq!(ScenarioSpec::parse(&spec.id()), Ok(spec));
+                }
+            }
+
+            /// Any job object is a spec inside the job limits, or a typed
+            /// error naming one of its keys or the missing `scenario`.
+            #[test]
+            fn job_spec_decoder_keeps_limits_or_names_a_field(
+                seeds in proptest::collection::vec(any::<u64>(), JOB_KEYS.len()),
+            ) {
+                let job = job_object(&seeds);
+                match JobSpec::from_json(&job) {
+                    Ok(spec) => {
+                        let iterations = 1..=MAX_JOB_ITERATIONS;
+                        prop_assert!(spec.iterations.is_none_or(|n| iterations.contains(&n)));
+                        prop_assert!((1..=MAX_JOB_PIECES).contains(&spec.pieces));
+                        prop_assert!(spec.recluster_every >= 1);
+                    }
+                    Err(ServeError::MalformedJobSpec { field, .. }) => {
+                        prop_assert!(
+                            field == "scenario" || job.get(&field).is_some(),
+                            "{field:?} is not a key of {}", job.render()
+                        );
+                    }
+                    Err(other) => prop_assert!(false, "{other:?} for {}", job.render()),
+                }
+            }
+
+            /// Any request line gets one response, none if it is blank, and
+            /// starts no job.
+            #[test]
+            fn line_decoder_answers_any_bytes(
+                bytes in edited(any::<u64>().prop_map(request_line), WIRE_TOKENS),
+            ) {
+                let server = start();
+                match answer_line(&server.shared, server.addr(), &bytes) {
+                    None => prop_assert!(
+                        std::str::from_utf8(&bytes).is_ok_and(|l| l.trim().is_empty()),
+                        "no response to {bytes:?}"
+                    ),
+                    Some(resp) => {
+                        let schema = resp.get("schema").and_then(Json::as_str);
+                        prop_assert_eq!(schema, Some(SERVE_SCHEMA));
+                        let ok = resp.get("ok").and_then(Json::as_bool);
+                        let error = resp.get("error").and_then(|e| e.get("kind"));
+                        prop_assert!(ok == Some(true) || error.is_some(), "{}", resp.render());
+                    }
+                }
+                let list = list(&server.shared);
+                let jobs = list.get("jobs").and_then(Json::as_array);
+                prop_assert_eq!(jobs.map(<[Json]>::len), Some(0));
+                server.shutdown();
+                prop_assert_eq!(server.wait().unwrap().submitted, 0);
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! diffable across PRs.
 
 use btt_bench::campaign::{check_outputs, run_sweep, write_outputs, SweepSpec};
-use btt_core::backend::ClusteringAlgorithm;
+use btt_core::backend::Backend;
 use btt_core::scenarios::ScenarioSpec;
 use btt_core::serialize::{json, ReportRecord};
 use std::fs;
@@ -13,10 +13,7 @@ use std::path::PathBuf;
 fn spec() -> SweepSpec {
     SweepSpec {
         scenarios: ScenarioSpec::parse_list("2x2,wan:2x3:0.25,star:2x3:0.2:3").unwrap(),
-        backends: vec![
-            ClusteringAlgorithm::Louvain.into(),
-            ClusteringAlgorithm::LabelPropagation.into(),
-        ],
+        backends: vec![Backend::Louvain, Backend::LabelPropagation],
         seeds: vec![2012],
         iterations: Some(3),
         pieces: 96,
@@ -74,7 +71,7 @@ fn churn_rate_sweep_on_wan_512_emits_reliability_fields() {
             "wan-512,wan-512+churn=0.02,wan-512+churn=0.08,wan-512+churn=0.15",
         )
         .unwrap(),
-        backends: vec![ClusteringAlgorithm::Louvain.into()],
+        backends: vec![Backend::Louvain],
         seeds: vec![2012],
         iterations: Some(2),
         pieces: 48,
@@ -133,7 +130,7 @@ fn different_seeds_perturb_the_artifacts() {
     // yield different measurements for different seeds.
     let mut spec_a = spec();
     spec_a.scenarios = ScenarioSpec::parse_list("star:2x3:0.2:3").unwrap();
-    spec_a.backends = vec![ClusteringAlgorithm::Louvain.into()];
+    spec_a.backends = vec![Backend::Louvain];
     let mut spec_b = spec_a.clone();
     spec_a.seeds = vec![1];
     spec_b.seeds = vec![2];

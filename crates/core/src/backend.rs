@@ -5,9 +5,11 @@
 //! "snapshot graph → host partition" step so independent families can be
 //! cross-validated on the same measurement campaign:
 //!
-//! * [`Backend::Clustering`] runs one of the four historical
-//!   [`ClusteringAlgorithm`]s, byte-identical to the pre-backend path: same
-//!   per-prefix seed derivation, same [`LouvainScratch`] reuse (pinned by
+//! * the four clustering algorithms — [`Backend::Louvain`],
+//!   [`Backend::Infomap`], [`Backend::LabelPropagation`] and
+//!   [`Backend::HierarchicalLouvain`] — run byte-identical to the
+//!   pre-backend path: same per-prefix seed derivation, same
+//!   [`LouvainScratch`] reuse (pinned by
 //!   `crates/core/tests/backend_golden.rs`).
 //! * [`Backend::Additive`] is Ni & Tatikonda-style additive-metrics
 //!   tomography ([`btt_cluster::additive`]): recursive grouping over the
@@ -19,10 +21,10 @@
 //! [`Backend`] is the compact, copyable selector threaded through session
 //! builders, sweep specs, the serve job schema, and artifact writers;
 //! [`Backend::infer_into`] is its one dispatch and [`Backend::from_name`] /
-//! [`Backend::name`] define the CLI/JSON spelling. For clustering variants
-//! [`Backend::name`] deliberately returns the algorithm's own name
-//! (`"louvain"`, …) so artifact file stems and the report `algorithm` field
-//! survive the refactor byte-for-byte.
+//! [`Backend::name`] define the CLI/JSON spelling. A clustering backend's
+//! [`Backend::name`] is the algorithm's own name (`"louvain"`, …), so
+//! artifact file stems and the report `algorithm` field keep their
+//! pre-backend spelling byte-for-byte.
 
 use btt_cluster::additive::additive_partition;
 use btt_cluster::graph::WeightedGraph;
@@ -32,10 +34,13 @@ use btt_cluster::labelprop::label_propagation;
 use btt_cluster::louvain::{louvain_into, LouvainScratch};
 use btt_cluster::partition::Partition;
 
-/// Which phase-2 algorithm clusters the measurement graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusteringAlgorithm {
-    /// Modularity-maximizing Louvain (the paper's method, §III-B).
+/// Compact selector for an inference backend — the value threaded through
+/// session builders, sweep specs, serve jobs, and artifact writers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backend {
+    /// Modularity-maximizing Louvain (the paper's method, §III-B) — the
+    /// default phase-2 path.
+    #[default]
     Louvain,
     /// Map-equation Infomap (the paper's §III-D negative comparison).
     Infomap,
@@ -45,52 +50,19 @@ pub enum ClusteringAlgorithm {
     /// clusters while sub-structure remains substantial and reports the
     /// finest level.
     HierarchicalLouvain,
-}
-
-impl ClusteringAlgorithm {
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClusteringAlgorithm::Louvain => "louvain",
-            ClusteringAlgorithm::Infomap => "infomap",
-            ClusteringAlgorithm::LabelPropagation => "label-propagation",
-            ClusteringAlgorithm::HierarchicalLouvain => "hierarchical-louvain",
-        }
-    }
-}
-
-/// Compact selector for an inference backend — the value threaded through
-/// session builders, sweep specs, serve jobs, and artifact writers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// One of the four historical clustering algorithms.
-    Clustering(ClusteringAlgorithm),
     /// Additive-metrics tomography (Ni & Tatikonda): recursive grouping
     /// over the log-throughput path metric. Seedless and scratch-free.
     Additive,
-}
-
-impl From<ClusteringAlgorithm> for Backend {
-    fn from(a: ClusteringAlgorithm) -> Backend {
-        Backend::Clustering(a)
-    }
-}
-
-impl Default for Backend {
-    /// The paper's default phase-2 path: Louvain clustering.
-    fn default() -> Backend {
-        Backend::Clustering(ClusteringAlgorithm::Louvain)
-    }
 }
 
 impl Backend {
     /// All backends, in a stable sweep order: the four clustering
     /// algorithms, then additive.
     pub const ALL: [Backend; 5] = [
-        Backend::Clustering(ClusteringAlgorithm::Louvain),
-        Backend::Clustering(ClusteringAlgorithm::Infomap),
-        Backend::Clustering(ClusteringAlgorithm::LabelPropagation),
-        Backend::Clustering(ClusteringAlgorithm::HierarchicalLouvain),
+        Backend::Louvain,
+        Backend::Infomap,
+        Backend::LabelPropagation,
+        Backend::HierarchicalLouvain,
         Backend::Additive,
     ];
 
@@ -98,12 +70,11 @@ impl Backend {
     /// the shorthands `"im"`, `"lp"`, `"hlouvain"` and `"add"`, and the
     /// family name `"clustering"` (= the paper's Louvain).
     pub fn from_name(name: &str) -> Option<Backend> {
-        use ClusteringAlgorithm::*;
         Some(match name.to_ascii_lowercase().as_str() {
-            "louvain" | "clustering" => Backend::Clustering(Louvain),
-            "infomap" | "im" => Backend::Clustering(Infomap),
-            "label-propagation" | "lp" => Backend::Clustering(LabelPropagation),
-            "hierarchical-louvain" | "hlouvain" => Backend::Clustering(HierarchicalLouvain),
+            "louvain" | "clustering" => Backend::Louvain,
+            "infomap" | "im" => Backend::Infomap,
+            "label-propagation" | "lp" => Backend::LabelPropagation,
+            "hierarchical-louvain" | "hlouvain" => Backend::HierarchicalLouvain,
             "additive" | "add" => Backend::Additive,
             _ => return None,
         })
@@ -116,11 +87,14 @@ impl Backend {
          hierarchical-louvain (hlouvain), additive (add)"
     }
 
-    /// Canonical name: the algorithm's own name for clustering variants
+    /// Canonical name: the algorithm's own name for clustering backends
     /// (keeping historical artifact spellings), `"additive"` otherwise.
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Clustering(a) => a.name(),
+            Backend::Louvain => "louvain",
+            Backend::Infomap => "infomap",
+            Backend::LabelPropagation => "label-propagation",
+            Backend::HierarchicalLouvain => "hierarchical-louvain",
             Backend::Additive => "additive",
         }
     }
@@ -159,14 +133,10 @@ impl Backend {
         scratch: &mut LouvainScratch,
     ) -> Partition {
         match self {
-            Backend::Clustering(ClusteringAlgorithm::Louvain) => {
-                louvain_into(g, seed, scratch).best().clone()
-            }
-            Backend::Clustering(ClusteringAlgorithm::Infomap) => infomap(g, seed).best().clone(),
-            Backend::Clustering(ClusteringAlgorithm::LabelPropagation) => {
-                label_propagation(g, seed, 200)
-            }
-            Backend::Clustering(ClusteringAlgorithm::HierarchicalLouvain) => {
+            Backend::Louvain => louvain_into(g, seed, scratch).best().clone(),
+            Backend::Infomap => infomap(g, seed).best().clone(),
+            Backend::LabelPropagation => label_propagation(g, seed, 200),
+            Backend::HierarchicalLouvain => {
                 recursive_louvain(g, seed, HierarchyConfig::default()).leaf_partition()
             }
             Backend::Additive => additive_partition(g),
@@ -219,21 +189,15 @@ mod tests {
             assert_eq!(Backend::from_name(b.name()), Some(b));
             assert_eq!(Backend::from_name(&b.name().to_ascii_uppercase()), Some(b));
         }
-        assert_eq!(
-            Backend::from_name("Clustering"),
-            Some(Backend::Clustering(ClusteringAlgorithm::Louvain))
-        );
+        assert_eq!(Backend::from_name("Clustering"), Some(Backend::Louvain));
         assert_eq!(Backend::from_name("ADD"), Some(Backend::Additive));
-        assert_eq!(
-            Backend::from_name("HLouvain"),
-            Some(Backend::Clustering(ClusteringAlgorithm::HierarchicalLouvain))
-        );
+        assert_eq!(Backend::from_name("HLouvain"), Some(Backend::HierarchicalLouvain));
         assert_eq!(Backend::from_name("nope"), None);
     }
 
     #[test]
     fn infomap_parses_as_im() {
-        let infomap = Some(Backend::Clustering(ClusteringAlgorithm::Infomap));
+        let infomap = Some(Backend::Infomap);
         assert_eq!(Backend::from_name("im"), infomap);
         assert_eq!(Backend::from_name("IM"), infomap);
         assert_eq!(Backend::from_name("imp"), None);

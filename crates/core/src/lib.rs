@@ -43,7 +43,7 @@ pub mod session;
 
 /// Commonly used items, including re-exports of the phase crates' preludes.
 pub mod prelude {
-    pub use crate::backend::{Backend, ClusteringAlgorithm};
+    pub use crate::backend::Backend;
     pub use crate::collectives::{
         cluster_aware_broadcast, flat_binomial_broadcast, CollectiveResult,
     };

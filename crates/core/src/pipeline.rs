@@ -291,7 +291,7 @@ pub struct InferenceTiming {
 pub fn convergence_series(
     campaign: &Campaign,
     ground_truth: &Partition,
-    backend: impl Into<Backend>,
+    backend: Backend,
     seed: u64,
 ) -> Vec<ConvergencePoint> {
     convergence_series_timed(campaign, ground_truth, backend, seed).0
@@ -307,11 +307,11 @@ const PREFIX_CHUNK: usize = 32;
 pub fn convergence_series_timed(
     campaign: &Campaign,
     ground_truth: &Partition,
-    backend: impl Into<Backend>,
+    backend: Backend,
     seed: u64,
 ) -> (Vec<ConvergencePoint>, InferenceTiming) {
     let empty = vec![None; campaign.runs.len()];
-    complete_series(&campaign.runs, empty, backend.into(), seed, ground_truth)
+    complete_series(&campaign.runs, empty, backend, seed, ground_truth)
 }
 
 /// Scores prefix `k`: infers `g` — the [`auto_metric_graph`] snapshot
@@ -414,11 +414,11 @@ impl std::error::Error for PipelineError {}
 pub fn analyze(
     scenario: &Scenario,
     campaign: Campaign,
-    backend: impl Into<Backend>,
+    backend: Backend,
     seed: u64,
 ) -> Result<TomographyReport, PipelineError> {
     let empty = vec![None; campaign.runs.len()];
-    assemble_report(scenario, campaign, empty, backend.into(), seed)
+    assemble_report(scenario, campaign, empty, backend, seed)
 }
 
 /// Phase 2's one exit, shared by [`analyze`] and
@@ -461,7 +461,6 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ClusteringAlgorithm;
     use btt_swarm::metrics::FragmentMatrix;
 
     /// The serial reference oracle for the convergence series: re-folds
@@ -632,10 +631,10 @@ mod tests {
             assert!(session.scenario().num_hosts() < SPARSE_NODE_THRESHOLD);
             let campaign = session.measure();
             let truth = &session.scenario().ground_truth;
-            for algorithm in [ClusteringAlgorithm::Louvain, ClusteringAlgorithm::LabelPropagation] {
-                let fast = convergence_series(&campaign, truth, algorithm, 2012);
-                let slow = serial_series(&campaign, truth, algorithm.into(), 2012);
-                assert_eq!(fast, slow, "{} / {}", dataset.id(), algorithm.name());
+            for backend in [Backend::Louvain, Backend::LabelPropagation] {
+                let fast = convergence_series(&campaign, truth, backend, 2012);
+                let slow = serial_series(&campaign, truth, backend, 2012);
+                assert_eq!(fast, slow, "{} / {}", dataset.id(), backend.name());
                 assert_eq!(fast.len(), iterations as usize);
             }
         }

@@ -107,8 +107,8 @@ impl TomographySession {
 
     /// Sets the phase-2 inference backend (default the paper's Louvain
     /// clustering).
-    pub fn backend(mut self, b: impl Into<Backend>) -> Self {
-        self.backend = b.into();
+    pub fn backend(mut self, b: Backend) -> Self {
+        self.backend = b;
         self
     }
 
@@ -183,7 +183,7 @@ impl TomographySession {
     pub fn analyze_with(
         &self,
         campaign: btt_swarm::broadcast::Campaign,
-        backend: impl Into<Backend>,
+        backend: Backend,
     ) -> TomographyReport {
         analyze(&self.scenario, campaign, backend, self.seed)
             .expect("session campaigns hold at least one iteration")
@@ -463,7 +463,6 @@ impl LiveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ClusteringAlgorithm;
 
     #[test]
     fn small_session_runs_end_to_end() {
@@ -655,11 +654,11 @@ mod tests {
         let s = TomographySession::new(Dataset::GT)
             .iterations(5)
             .pieces(128)
-            .backend(ClusteringAlgorithm::Infomap)
+            .backend(Backend::Infomap)
             .root_policy(btt_swarm::broadcast::RootPolicy::RoundRobin);
         assert_eq!(s.iterations, 5);
         assert_eq!(s.cfg.num_pieces, 128);
-        assert_eq!(s.backend, Backend::Clustering(ClusteringAlgorithm::Infomap));
+        assert_eq!(s.backend, Backend::Infomap);
         assert_eq!(s.scenario().num_hosts(), 64);
     }
 }

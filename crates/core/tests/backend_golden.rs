@@ -3,7 +3,7 @@
 //! byte-identical (modulo the v4 schema bump) to the pre-refactor path.
 //!
 //! The files under `tests/golden/backend/` were generated by the
-//! *pre-refactor* tree (hardwired `ClusteringAlgorithm` dispatch) on
+//! *pre-refactor* tree (a hardwired clustering-algorithm dispatch) on
 //! wan-512 and wan-512-churn; that tree wrote the same bytes in both
 //! [`DriveMode`]s, so there is one file per scenario. Each test re-runs the
 //! identical session through the pluggable-backend path in one drive mode

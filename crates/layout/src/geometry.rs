@@ -1,6 +1,6 @@
 //! Minimal 2-D geometry for layouts.
 
-use std::ops::{Add, Div, Mul, Sub};
+use std::ops::{Add, Mul, Sub};
 
 /// A point (or vector) in the layout plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -54,13 +54,6 @@ impl Mul<f64> for Point2 {
     }
 }
 
-impl Div<f64> for Point2 {
-    type Output = Point2;
-    fn div(self, s: f64) -> Point2 {
-        Point2::new(self.x / s, self.y / s)
-    }
-}
-
 /// Rescales positions in place to fit `[0, size] × [0, size]`, preserving
 /// aspect ratio. No-op for empty or degenerate (single-point) layouts.
 pub fn normalize_to_box(points: &mut [Point2], size: f64) {
@@ -94,7 +87,6 @@ mod tests {
         assert_eq!((a + b), Point2::new(4.0, 5.0));
         assert_eq!((a - b), Point2::new(2.0, 3.0));
         assert_eq!((a * 2.0), Point2::new(6.0, 8.0));
-        assert_eq!((a / 2.0), Point2::new(1.5, 2.0));
         assert_eq!(a.dist(b), (2.0f64 * 2.0 + 3.0 * 3.0).sqrt());
         assert!(a.is_finite());
         assert!(!Point2::new(f64::NAN, 0.0).is_finite());

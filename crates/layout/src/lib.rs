@@ -8,8 +8,6 @@
 //!
 //! * [`distances`] — inverse-weight shortest-path distance matrices;
 //! * [`kamada_kawai`] — the Kamada–Kawai algorithm used by Graphviz `neato`;
-//! * [`fruchterman_reingold`] — an alternative force layout (Noack 2009
-//!   connects this family to modularity clustering);
 //! * [`render`] — the paper's edge-filter and shape rules;
 //! * [`dot`] / [`svg`] — Graphviz-compatible DOT and standalone SVG export.
 //!
@@ -30,7 +28,6 @@
 
 pub mod distances;
 pub mod dot;
-pub mod fruchterman_reingold;
 pub mod geometry;
 pub mod kamada_kawai;
 pub mod render;
@@ -40,7 +37,6 @@ pub mod svg;
 pub mod prelude {
     pub use crate::distances::{inverse_weight_distances, DistanceMatrix};
     pub use crate::dot::to_dot;
-    pub use crate::fruchterman_reingold::fruchterman_reingold;
     pub use crate::geometry::Point2;
     pub use crate::kamada_kawai::{kamada_kawai, stress, KamadaKawaiConfig};
     pub use crate::render::{render, RenderOptions, Rendered, RenderedNode, Shape};

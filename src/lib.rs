@@ -26,7 +26,7 @@
 //! | [`netsim`] | flow-level network simulator + Grid'5000 topologies (the testbed substitute) |
 //! | [`swarm`] | instrumented BitTorrent engine + the fragment-count metric |
 //! | [`cluster`] | Louvain / Infomap / label propagation, modularity, NMI, oNMI |
-//! | [`layout`] | Kamada–Kawai & Fruchterman–Reingold layouts, DOT/SVG export |
+//! | [`layout`] | Kamada–Kawai layout, DOT/SVG export |
 //! | [`baselines`] | NetPIPE, O(N²) pairwise and O(N³) interference probing |
 //! | [`core`] | the end-to-end pipeline, paper datasets, reports |
 //!
