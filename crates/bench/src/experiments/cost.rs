@@ -36,7 +36,7 @@ pub fn cost_comparison(ctx: &mut ReproCtx) {
         let grid = Grid5000::builder().bordeaux(n / 2, 0, n / 2).build();
         let hosts = grid.all_hosts();
         let routes = Arc::new(RouteTable::new(grid.topology.clone()));
-        let truth = logical_clusters(&grid, &hosts);
+        let truth = logical_clusters(&grid);
 
         // BitTorrent tomography: iterate until stable convergence; bill only
         // the iterations actually needed (the paper's usage).

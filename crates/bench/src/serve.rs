@@ -60,6 +60,14 @@ pub const MAX_JOB_ITERATIONS: u32 = 10_000;
 /// 15,259-piece file, the largest count any in-repo caller uses.
 pub const MAX_JOB_PIECES: u32 = 65_536;
 
+/// Most hosts × pieces one job may request. Each caps its own factor, but a
+/// broadcast allocates about 1.4 B per host-piece up front (a 1 B
+/// availability counter, a HAVE bit and two bitfield bits), so both at
+/// their caps would ask for 5.5 GiB. At this cap a broadcast allocates
+/// about 352 MiB; every scale preset fits at the paper's 15,259-piece
+/// file (`wan-8k` needs 125 M).
+pub const MAX_JOB_HOST_PIECES: u64 = 1 << 28;
+
 /// Longest request line the daemon reads, in bytes, its newline excluded.
 /// Job specs are well under 1 KiB; without a bound, a client that never
 /// sends a newline would grow one buffer until the daemon aborts on
@@ -191,7 +199,8 @@ pub struct JobSpec {
     /// at most [`MAX_JOB_ITERATIONS`]).
     pub iterations: Option<u32>,
     /// File size in 16 KiB fragments (optional, default 256; at most
-    /// [`MAX_JOB_PIECES`]).
+    /// [`MAX_JOB_PIECES`], and at most [`MAX_JOB_HOST_PIECES`] over the
+    /// scenario's host count).
     pub pieces: u32,
     /// Streaming re-cluster cadence (optional, default 1 — every run).
     pub recluster_every: u32,
@@ -286,6 +295,16 @@ impl JobSpec {
             return Err(bad(
                 "pieces",
                 format!("at most MAX_JOB_PIECES = {MAX_JOB_PIECES} fragments per job"),
+            ));
+        }
+        let hosts = scenario.num_hosts();
+        if (hosts as u64).saturating_mul(u64::from(pieces)) > MAX_JOB_HOST_PIECES {
+            return Err(bad(
+                "pieces",
+                format!(
+                    "{pieces} fragments over {hosts} hosts exceed \
+                     MAX_JOB_HOST_PIECES = {MAX_JOB_HOST_PIECES} host-pieces per job"
+                ),
             ));
         }
         Ok(JobSpec {
@@ -1162,6 +1181,29 @@ mod tests {
     }
 
     #[test]
+    fn host_piece_product_is_capped_at_parse() {
+        let job = |scenario: &str, pieces: u64| {
+            JobSpec::from_json(&Json::obj(vec![
+                ("scenario", Json::Str(scenario.to_string())),
+                ("pieces", Json::UInt(pieces)),
+            ]))
+        };
+        // 65,536 hosts × 65,536 pieces: each factor at its own cap, 2^32
+        // together.
+        match job("wan:256x256", 65_536) {
+            Err(ServeError::MalformedJobSpec { field, message }) => {
+                assert_eq!(field, "pieces");
+                assert!(message.contains("65536 hosts"), "{message}");
+                assert!(message.contains("MAX_JOB_HOST_PIECES = 268435456"), "{message}");
+            }
+            other => panic!("over-cap job accepted: {other:?}"),
+        }
+        // The largest preset at the paper's file size fits.
+        let spec = job("wan-8k", 15_259).expect("wan-8k at 15,259 pieces fits");
+        assert_eq!((spec.scenario.num_hosts(), spec.pieces), (8_192, 15_259));
+    }
+
+    #[test]
     fn unknown_job_spec_field_is_rejected_even_when_the_rest_is_valid() {
         let server = start();
         let mut client = ServeClient::connect(&server.addr()).unwrap();
@@ -1543,6 +1585,9 @@ mod tests {
                         let iterations = 1..=MAX_JOB_ITERATIONS;
                         prop_assert!(spec.iterations.is_none_or(|n| iterations.contains(&n)));
                         prop_assert!((1..=MAX_JOB_PIECES).contains(&spec.pieces));
+                        let hosts = spec.scenario.num_hosts() as u64;
+                        let host_pieces = hosts.saturating_mul(u64::from(spec.pieces));
+                        prop_assert!(host_pieces <= MAX_JOB_HOST_PIECES);
                         prop_assert!(spec.recluster_every >= 1);
                     }
                     Err(ServeError::MalformedJobSpec { field, .. }) => {

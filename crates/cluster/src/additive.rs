@@ -93,11 +93,6 @@ impl AdditiveDendrogram {
         &self.merges
     }
 
-    /// How many merges the chosen cut applies (see [`Self::best`]).
-    pub fn cut_index(&self) -> usize {
-        self.cut
-    }
-
     /// The partition after applying the first `k` merges.
     pub fn partition_at(&self, k: usize) -> Partition {
         assert!(k <= self.merges.len());
@@ -288,6 +283,9 @@ mod tests {
         assert_eq!(dendro.partition_at(0).num_clusters(), 8);
         let full = dendro.partition_at(dendro.merges().len());
         assert_eq!(full.num_clusters(), 1);
-        assert!(dendro.cut_index() < dendro.merges().len());
+        // The chosen cut is one of those levels, short of the full merge.
+        let best = dendro.best();
+        let k = (0..dendro.merges().len()).find(|&k| dendro.partition_at(k) == best);
+        assert!(k.is_some(), "best() is a level below the full merge");
     }
 }

@@ -46,26 +46,6 @@ impl Partition {
         Partition { assign, num_clusters: next as usize }
     }
 
-    /// Builds a partition from explicit clusters (must cover `0..n` exactly
-    /// once).
-    pub fn from_clusters(n: usize, clusters: &[Vec<u32>]) -> Self {
-        let mut assign = vec![u32::MAX; n];
-        for (c, members) in clusters.iter().enumerate() {
-            for &v in members {
-                assert!(
-                    assign[v as usize] == u32::MAX,
-                    "node {v} appears in more than one cluster"
-                );
-                assign[v as usize] = c as u32;
-            }
-        }
-        assert!(
-            assign.iter().all(|&a| a != u32::MAX),
-            "every node must belong to exactly one cluster"
-        );
-        Partition { assign, num_clusters: clusters.len() }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.assign.len()
@@ -157,8 +137,6 @@ mod tests {
         let p = Partition::from_assignments(&[0, 1, 0, 2]);
         let cs = p.clusters();
         assert_eq!(cs, vec![vec![0, 2], vec![1], vec![3]]);
-        let q = Partition::from_clusters(4, &cs);
-        assert!(p.same_clustering(&q));
     }
 
     #[test]
@@ -177,17 +155,5 @@ mod tests {
         let c = Partition::from_assignments(&[0, 1, 0, 1]);
         assert!(a.same_clustering(&b));
         assert!(!a.same_clustering(&c));
-    }
-
-    #[test]
-    #[should_panic(expected = "more than one cluster")]
-    fn overlapping_clusters_rejected() {
-        let _ = Partition::from_clusters(3, &[vec![0, 1], vec![1, 2]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one cluster")]
-    fn uncovered_nodes_rejected() {
-        let _ = Partition::from_clusters(3, &[vec![0, 1]]);
     }
 }

@@ -130,8 +130,6 @@ pub struct Scenario {
     /// scenarios (e.g. `"fat-tree:2x2x4:4:1"`). Used in reports and
     /// (sanitized) campaign output file names.
     pub id: String,
-    /// The paper dataset this scenario was built from, if any.
-    pub dataset: Option<Dataset>,
     /// Default number of measurement iterations for sessions over this
     /// scenario (the paper's per-dataset counts, or a sweep-friendly
     /// default for synthetic scenarios).
@@ -154,9 +152,7 @@ pub struct Scenario {
 
 impl Scenario {
     fn new(dataset: Dataset, grid: Grid5000) -> Self {
-        let mut s = Scenario::custom(dataset.id(), grid, dataset.paper_iterations());
-        s.dataset = Some(dataset);
-        s
+        Scenario::custom(dataset.id(), grid, dataset.paper_iterations())
     }
 
     /// Builds a scenario over an arbitrary [`Grid5000`]-shaped network.
@@ -167,12 +163,11 @@ impl Scenario {
     /// [`Scenario::ground_truth`] after construction.
     pub fn custom(id: impl Into<String>, grid: Grid5000, default_iterations: u32) -> Self {
         let hosts = grid.all_hosts();
-        let ground_truth = logical_clusters(&grid, &hosts);
-        let labels = ip_labels(&grid, &hosts);
+        let ground_truth = logical_clusters(&grid);
+        let labels = ip_labels(&grid);
         let routes = Arc::new(RouteTable::new(grid.topology.clone()));
         Scenario {
             id: id.into(),
-            dataset: None,
             default_iterations,
             grid,
             hosts,
@@ -189,67 +184,68 @@ impl Scenario {
     }
 }
 
-/// Derives the paper's ground-truth logical clustering from the physical
-/// topology (§IV-A): one cluster per site, except Bordeaux splits into
-/// Bordeplage vs. the Dell-side clusters (Bordereau ∪ Borderline).
-pub fn logical_clusters(grid: &Grid5000, hosts: &[NodeId]) -> Partition {
-    let topo = &grid.topology;
-    let mut keys: Vec<String> = Vec::with_capacity(hosts.len());
-    for &h in hosts {
-        let node = topo.node(h);
-        let site = node.site.as_deref().unwrap_or("?");
-        let cluster = node.cluster.as_deref().unwrap_or("?");
-        let key = if site == "bordeaux" {
-            if cluster == "bordeplage" {
-                "bordeaux/bordeplage".to_string()
+/// Walks `grid.sites` once, in [`Grid5000::all_hosts`] order, and calls
+/// `visit(group, logical, rank)` for each host.
+///
+/// * `group` — each (site, physical cluster) that has hosts takes the next
+///   index, so an empty cluster gets none;
+/// * `logical` — the §IV-A rule, applied once per cluster: Bordeplage
+///   alone, Bordereau ∪ Borderline as one cluster, every other site one
+///   cluster; indices count up in order of first appearance;
+/// * `rank` — the host's 1-based position within its group.
+fn walk_host_groups(grid: &Grid5000, mut visit: impl FnMut(u32, u32, u32)) {
+    let next = |count: &mut u32| {
+        *count += 1;
+        *count - 1
+    };
+    let (mut groups, mut logicals) = (0, 0);
+    for site in &grid.sites {
+        // The logical index of the site's shared cluster, once it has one.
+        let mut shared = None;
+        for (cluster, hosts) in site.clusters.iter().filter(|(_, hs)| !hs.is_empty()) {
+            let logical = if site.site == "bordeaux" && cluster == "bordeplage" {
+                next(&mut logicals)
             } else {
-                // Bordereau and Borderline share a fast link: one logical
-                // cluster.
-                "bordeaux/dell-side".to_string()
+                *shared.get_or_insert_with(|| next(&mut logicals))
+            };
+            for rank in 1..=hosts.len() as u32 {
+                visit(groups, logical, rank);
             }
-        } else {
-            site.to_string()
-        };
-        keys.push(key);
+            groups += 1;
+        }
     }
-    // Stable dense ids in order of first appearance.
-    let mut ids: Vec<u32> = Vec::with_capacity(keys.len());
-    let mut seen: Vec<String> = Vec::new();
-    for k in &keys {
-        let id = match seen.iter().position(|s| s == k) {
-            Some(i) => i as u32,
-            None => {
-                seen.push(k.clone());
-                (seen.len() - 1) as u32
-            }
-        };
-        ids.push(id);
-    }
+}
+
+/// Number of hosts across the grid's site lists.
+fn num_hosts(grid: &Grid5000) -> usize {
+    grid.sites.iter().flat_map(|s| &s.clusters).map(|(_, hs)| hs.len()).sum()
+}
+
+/// Derives the paper's ground-truth logical clustering over
+/// [`Grid5000::all_hosts`] from the grid's site lists (§IV-A): one cluster
+/// per site, except Bordeaux splits into Bordeplage vs. the Dell-side
+/// clusters (Bordereau ∪ Borderline).
+pub fn logical_clusters(grid: &Grid5000) -> Partition {
+    let mut ids = Vec::with_capacity(num_hosts(grid));
+    walk_host_groups(grid, |_, logical, _| ids.push(logical));
     Partition::from_assignments(&ids)
 }
 
-/// Paper-style IP labels: each (site, cluster) pair gets a subnet, hosts get
-/// consecutive final octets (the figures label nodes with 172.16.x.y).
-pub fn ip_labels(grid: &Grid5000, hosts: &[NodeId]) -> Vec<String> {
-    let topo = &grid.topology;
-    let mut subnets: Vec<(String, String)> = Vec::new();
-    let mut counters: Vec<u32> = Vec::new();
-    let mut labels = Vec::with_capacity(hosts.len());
-    for &h in hosts {
-        let node = topo.node(h);
-        let key = (node.site.clone().unwrap_or_default(), node.cluster.clone().unwrap_or_default());
-        let idx = match subnets.iter().position(|s| *s == key) {
-            Some(i) => i,
-            None => {
-                subnets.push(key);
-                counters.push(0);
-                subnets.len() - 1
-            }
-        };
-        counters[idx] += 1;
-        labels.push(format!("172.16.{}.{}", idx, counters[idx]));
-    }
+/// Paper-style IP labels over [`Grid5000::all_hosts`]: each (site, physical
+/// cluster) with hosts gets a subnet, and its hosts get consecutive final
+/// octets from 1 (the figures label nodes with 172.16.x.y).
+pub fn ip_labels(grid: &Grid5000) -> Vec<String> {
+    let mut labels = Vec::with_capacity(num_hosts(grid));
+    walk_host_groups(grid, |group, _, rank| labels.push(format!("172.16.{group}.{rank}")));
     labels
+}
+
+/// Ground truth with one cluster per (site, physical cluster) pair over
+/// [`Grid5000::all_hosts`] — the rack granularity for fat-trees.
+pub(crate) fn per_cluster_truth(grid: &Grid5000) -> Partition {
+    let mut ids = Vec::with_capacity(num_hosts(grid));
+    walk_host_groups(grid, |group, _, _| ids.push(group));
+    Partition::from_assignments(&ids)
 }
 
 #[cfg(test)]
@@ -294,9 +290,9 @@ mod tests {
         assert_eq!(s.num_hosts(), 96);
         assert_eq!(s.ground_truth.num_clusters(), 3);
         // No bordeplage nodes at all.
-        for &h in &s.hosts {
-            assert_ne!(s.grid.topology.node(h).cluster.as_deref(), Some("bordeplage"));
-        }
+        let bordeaux = &s.grid.sites[0];
+        assert_eq!(bordeaux.clusters[0].0, "bordeplage");
+        assert!(bordeaux.clusters[0].1.is_empty());
     }
 
     #[test]
@@ -322,6 +318,26 @@ mod tests {
             assert_eq!(set.len(), s.labels.len(), "{}: duplicate labels", d.id());
             for l in &s.labels {
                 assert!(l.starts_with("172.16."), "{l}");
+            }
+        }
+        // The first and last label of each (site, physical cluster) group:
+        // B is bordeplage, bordereau, borderline; B-G-T's empty Bordeplage
+        // takes no subnet.
+        let b = [(0, "0.1"), (31, "0.32"), (32, "1.1"), (58, "1.27"), (59, "2.1"), (63, "2.5")];
+        let bgt = [
+            (0, "0.1"),
+            (26, "0.27"),
+            (27, "1.1"),
+            (31, "1.5"),
+            (32, "2.1"),
+            (63, "2.32"),
+            (64, "3.1"),
+            (95, "3.32"),
+        ];
+        for (d, pins) in [(Dataset::B, &b[..]), (Dataset::BGT, &bgt[..])] {
+            let s = d.build();
+            for &(i, label) in pins {
+                assert_eq!(s.labels[i], format!("172.16.{label}"), "{} host {i}", d.id());
             }
         }
     }

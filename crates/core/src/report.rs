@@ -2,7 +2,6 @@
 //! reports them (Fig. 13 series, cluster membership listings).
 
 use crate::pipeline::TomographyReport;
-use btt_cluster::onmi::onmi_partitions;
 use std::fmt::Write;
 
 /// Renders the Fig.-13-style convergence table: oNMI (and cluster count)
@@ -76,62 +75,6 @@ pub fn summary_line(report: &TomographyReport) -> String {
     line
 }
 
-/// Renders the per-backend comparison block: one line per backend (final
-/// oNMI, cluster count, whether it consumes the seed, and the
-/// metric-separation diagnosis), then the pairwise agreement matrix —
-/// oNMI *between* the backends' final partitions, independent of ground
-/// truth. High cross-backend agreement with low truth oNMI means both
-/// families recover the same (wrong or re-labelled) structure; low
-/// agreement localizes which family's assumptions break on the scenario.
-///
-/// All reports must come from the same scenario (same host count); the
-/// renderer trusts the caller and panics on mismatched partition sizes.
-pub fn backend_comparison(reports: &[TomographyReport]) -> String {
-    let mut out = String::new();
-    if reports.is_empty() {
-        return out;
-    }
-    writeln!(out, "backend comparison on {}:", reports[0].scenario_id).unwrap();
-    writeln!(
-        out,
-        "{:>20}  {:>8}  {:>8}  {:>6}  {:>10}",
-        "backend", "oNMI", "clusters", "seeded", "sep-ratio"
-    )
-    .unwrap();
-    for r in reports {
-        let sep = r
-            .diagnosis
-            .separation_ratio
-            .map_or_else(|| "n/a".to_string(), |ratio| format!("{ratio:.3}"));
-        writeln!(
-            out,
-            "{:>20}  {:>8.4}  {:>8}  {:>6}  {:>10}",
-            r.backend.name(),
-            r.last().onmi,
-            r.final_partition.num_clusters(),
-            if r.backend.uses_seed() { "yes" } else { "no" },
-            sep
-        )
-        .unwrap();
-    }
-    if reports.len() > 1 {
-        writeln!(out, "cross-backend agreement (oNMI between final partitions):").unwrap();
-        for (i, a) in reports.iter().enumerate() {
-            for b in &reports[i + 1..] {
-                writeln!(
-                    out,
-                    "  {} vs {}: {:.4}",
-                    a.backend.name(),
-                    b.backend.name(),
-                    onmi_partitions(&a.final_partition, &b.final_partition)
-                )
-                .unwrap();
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,30 +102,6 @@ mod tests {
         for i in 0..4 {
             assert!(l.contains(&format!("ip-{i}")), "{l}");
         }
-    }
-
-    #[test]
-    fn backend_comparison_lists_every_backend_and_pair() {
-        use crate::backend::Backend;
-        let mk = |b: Backend| {
-            TomographySession::new(Dataset::Small2x2)
-                .backend(b)
-                .iterations(2)
-                .pieces(48)
-                .seed(3)
-                .run()
-        };
-        let reports = vec![mk(Backend::default()), mk(Backend::Additive)];
-        let block = backend_comparison(&reports);
-        assert!(block.contains("backend comparison on 2x2"), "{block}");
-        assert!(block.contains("louvain"), "{block}");
-        assert!(block.contains("additive"), "{block}");
-        assert!(block.contains("louvain vs additive:"), "{block}");
-        assert!(backend_comparison(&[]).is_empty());
-        // One report: the agreement matrix is omitted, the table stays.
-        let solo = backend_comparison(&reports[..1]);
-        assert!(solo.contains("louvain"));
-        assert!(!solo.contains("agreement"));
     }
 
     #[test]

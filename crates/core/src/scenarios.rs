@@ -15,9 +15,8 @@
 //! parsed spec parses back to the same spec, so ids are safe keys for
 //! output files and cross-PR diffs.
 
-use crate::dataset::{Dataset, Scenario};
+use crate::dataset::{per_cluster_truth, Dataset, Scenario};
 use btt_cluster::partition::Partition;
-use btt_netsim::grid5000::Grid5000;
 use btt_netsim::perturb::ReliabilityCfg;
 use btt_netsim::synthetic::{FatTree, HeteroWan, StarOfStars};
 use std::ops::RangeInclusive;
@@ -223,8 +222,7 @@ impl ScenarioSpec {
                 // one core switch.
                 let racks = f.pods.saturating_mul(f.racks_per_pod);
                 let switches = racks.saturating_add(f.pods).saturating_add(1);
-                check_size(text, racks.saturating_mul(f.hosts_per_rack), switches)?;
-                Ok(ScenarioSpec::FatTree(f))
+                check_size(text, ScenarioSpec::FatTree(f), switches)
             }
             "star" => {
                 if dims.len() != 2 || parts.len() > 3 {
@@ -247,9 +245,7 @@ impl ScenarioSpec {
                     uplink_ratio: ratio(1, 0.25)?,
                 };
                 // One switch per arm plus the hub's.
-                let hosts = s.arms.saturating_mul(s.hosts_per_arm).saturating_add(s.hub_hosts);
-                check_size(text, hosts, s.arms.saturating_add(1))?;
-                Ok(ScenarioSpec::Star(s))
+                check_size(text, ScenarioSpec::Star(s), s.arms.saturating_add(1))
             }
             "wan" => {
                 if dims.len() != 2 || parts.len() > 3 {
@@ -257,13 +253,10 @@ impl ScenarioSpec {
                         "{text:?}: wan wants <sites>x<hosts>[:<bottleneck_ratio>[:<access_mbps>]]"
                     ));
                 }
-                let (sites, hosts) = (dim(0)?, dim(1)?);
-                // A switch and a router per site, plus the WAN core router.
-                let switches = sites.saturating_mul(2).saturating_add(1);
-                check_size(text, sites.saturating_mul(hosts), switches)?;
-                Ok(ScenarioSpec::Wan {
+                let sites = dim(0)?;
+                let spec = ScenarioSpec::Wan {
                     sites,
-                    hosts,
+                    hosts: dim(1)?,
                     bottleneck_ratio: ratio(1, 0.5)?,
                     access_mbps: match parts.get(2) {
                         None => btt_netsim::synthetic::SYNTH_ACCESS_MBPS,
@@ -275,7 +268,9 @@ impl ScenarioSpec {
                             &SCENARIO_ACCESS_MBPS_RANGE,
                         )?,
                     },
-                })
+                };
+                // A switch and a router per site, plus the WAN core router.
+                check_size(text, spec, sites.saturating_mul(2).saturating_add(1))
             }
             other => Err(format!("unknown scenario family {other:?}")),
         }
@@ -336,6 +331,23 @@ impl ScenarioSpec {
         }
     }
 
+    /// Hosts the built scenario holds. A synthetic spec is counted from its
+    /// dimensions, saturating at `usize::MAX`; a paper dataset (at most 96
+    /// hosts) is built and counted.
+    pub fn num_hosts(&self) -> usize {
+        match self {
+            ScenarioSpec::Dataset(d) => d.build().num_hosts(),
+            ScenarioSpec::FatTree(f) => {
+                f.pods.saturating_mul(f.racks_per_pod).saturating_mul(f.hosts_per_rack)
+            }
+            ScenarioSpec::Star(s) => {
+                s.arms.saturating_mul(s.hosts_per_arm).saturating_add(s.hub_hosts)
+            }
+            ScenarioSpec::Wan { sites, hosts, .. } => sites.saturating_mul(*hosts),
+            ScenarioSpec::Perturbed { base, .. } => base.num_hosts(),
+        }
+    }
+
     /// Builds the ready-to-run [`Scenario`], including the family-specific
     /// ground truth:
     ///
@@ -356,7 +368,7 @@ impl ScenarioSpec {
             ScenarioSpec::FatTree(f) => {
                 let mut s = Scenario::custom(self.id(), f.build(), SYNTHETIC_ITERATIONS);
                 if f.edge_oversubscription > 1.0 {
-                    s.ground_truth = per_cluster_truth(&s.grid, &s);
+                    s.ground_truth = per_cluster_truth(&s.grid);
                 } else if f.core_oversubscription <= 1.0 {
                     s.ground_truth = Partition::trivial(s.hosts.len());
                 }
@@ -417,11 +429,12 @@ fn in_range(
     Ok(v)
 }
 
-/// Rejects a synthetic network with fewer than [`MIN_SCENARIO_HOSTS`] or
-/// more than [`MAX_SCENARIO_HOSTS`] hosts, or more than
-/// [`MAX_SCENARIO_SWITCHES`] switches and routers. Callers count with
-/// saturating arithmetic, so a count that overflows reads as too large.
-fn check_size(text: &str, hosts: usize, switches: usize) -> Result<(), String> {
+/// Passes a synthetic `spec` with [`MIN_SCENARIO_HOSTS`] to
+/// [`MAX_SCENARIO_HOSTS`] hosts ([`ScenarioSpec::num_hosts`]) and at most
+/// [`MAX_SCENARIO_SWITCHES`] switches and routers. Counts saturate, so a
+/// count that overflows reads as too large.
+fn check_size(text: &str, spec: ScenarioSpec, switches: usize) -> Result<ScenarioSpec, String> {
+    let hosts = spec.num_hosts();
     if hosts < MIN_SCENARIO_HOSTS {
         return Err(format!(
             "{text:?}: fewer than MIN_SCENARIO_HOSTS = {MIN_SCENARIO_HOSTS} hosts"
@@ -435,30 +448,7 @@ fn check_size(text: &str, hosts: usize, switches: usize) -> Result<(), String> {
             "{text:?}: more than MAX_SCENARIO_SWITCHES = {MAX_SCENARIO_SWITCHES} switches and routers"
         ));
     }
-    Ok(())
-}
-
-/// Ground truth with one cluster per (site, physical cluster) pair — the
-/// rack granularity for fat-trees.
-fn per_cluster_truth(grid: &Grid5000, s: &Scenario) -> Partition {
-    let topo = &grid.topology;
-    let mut keys: Vec<(String, String)> = Vec::new();
-    let raw: Vec<u32> = s
-        .hosts
-        .iter()
-        .map(|&h| {
-            let n = topo.node(h);
-            let key = (n.site.clone().unwrap_or_default(), n.cluster.clone().unwrap_or_default());
-            match keys.iter().position(|k| *k == key) {
-                Some(i) => i as u32,
-                None => {
-                    keys.push(key);
-                    (keys.len() - 1) as u32
-                }
-            }
-        })
-        .collect();
-    Partition::from_assignments(&raw)
+    Ok(spec)
 }
 
 #[cfg(test)]

@@ -83,18 +83,6 @@ pub struct FlowStats {
     pub ended_at: SimTime,
 }
 
-impl FlowStats {
-    /// Mean throughput over the flow's lifetime in bytes/sec.
-    pub fn mean_rate(&self) -> f64 {
-        let dt = self.ended_at - self.started_at;
-        if dt > 0.0 {
-            self.delivered / dt
-        } else {
-            0.0
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ActiveFlow {
     src: NodeId,
@@ -970,9 +958,9 @@ mod tests {
 
     fn pair(mbps: f64) -> (Arc<Topology>, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
-        let sw = b.add_switch("sw", "s");
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
+        let sw = b.add_switch("sw");
         b.link(h0, sw, LinkSpec::lan(Bandwidth::from_mbps(mbps)));
         b.link(h1, sw, LinkSpec::lan(Bandwidth::from_mbps(mbps)));
         (Arc::new(b.build().unwrap()), h0, h1)
@@ -1035,10 +1023,10 @@ mod tests {
         // Two flows out of h0 share 800; first carries few bytes. After it
         // completes the second should run at full rate.
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
-        let h2 = b.add_host("h2", "s", "c");
-        let sw = b.add_switch("sw", "s");
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
+        let h2 = b.add_host("h2");
+        let sw = b.add_switch("sw");
         for h in [h0, h1, h2] {
             b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(800.0)));
         }
@@ -1068,7 +1056,6 @@ mod tests {
         assert!(stats.delivered > 0.0);
         assert_eq!(stats.started_at, 0.0);
         assert!((stats.ended_at - 3.0).abs() < 1e-9);
-        assert!(stats.mean_rate() > 0.0);
         assert!(net.stop_flow(s).is_none());
         assert_eq!(net.active_flows(), 0);
     }
@@ -1241,10 +1228,10 @@ mod tests {
     #[test]
     fn fail_host_stops_exactly_its_flows() {
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
-        let h2 = b.add_host("h2", "s", "c");
-        let sw = b.add_switch("sw", "s");
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
+        let h2 = b.add_host("h2");
+        let sw = b.add_switch("sw");
         for h in [h0, h1, h2] {
             b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(800.0)));
         }
@@ -1322,12 +1309,12 @@ mod tests {
         // material-change threshold and re-keys every far-off mark, leaving
         // the old entries stale. Without compaction they pile up.
         let mut b = TopologyBuilder::new();
-        let sink = b.add_host("sink", "s", "c");
-        let sw = b.add_switch("sw", "s");
+        let sink = b.add_host("sink");
+        let sw = b.add_switch("sw");
         b.link(sink, sw, LinkSpec::lan(Bandwidth::from_mbps(100.0)));
         let srcs: Vec<NodeId> = (0..48)
             .map(|i| {
-                let h = b.add_host(format!("h{i}"), "s", "c");
+                let h = b.add_host(format!("h{i}"));
                 b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(1000.0)));
                 h
             })

@@ -629,8 +629,8 @@ mod tests {
 
     fn star(n: usize, mbps: f64) -> (Arc<Topology>, Vec<NodeId>, RouteTable) {
         let mut b = TopologyBuilder::new();
-        let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"), "s", "c")).collect();
-        let sw = b.add_switch("sw", "s");
+        let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"))).collect();
+        let sw = b.add_switch("sw");
         for &h in &hosts {
             b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(mbps)));
         }
@@ -708,12 +708,12 @@ mod tests {
         // sits on its own 900 link. Build explicitly:
         //   h0, h2 - swA - (300) - swB - h1, h3
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
-        let h2 = b.add_host("h2", "s", "c");
-        let h3 = b.add_host("h3", "s", "c");
-        let swa = b.add_switch("swa", "s");
-        let swb = b.add_switch("swb", "s");
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
+        let h2 = b.add_host("h2");
+        let h3 = b.add_host("h3");
+        let swa = b.add_switch("swa");
+        let swb = b.add_switch("swb");
         let fast = LinkSpec::lan(Bandwidth::from_mbps(900.0));
         b.link(h0, swa, fast);
         b.link(h2, swa, fast);

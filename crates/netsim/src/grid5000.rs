@@ -65,7 +65,10 @@ impl SiteHosts {
 pub struct Grid5000 {
     /// The simulated topology.
     pub topology: Arc<Topology>,
-    /// Per-site host groups, in builder order.
+    /// Per-site host groups, in builder order: the only record of which
+    /// host belongs to which site and physical cluster (topology nodes
+    /// carry a name and a kind only). Ground truths and labels derive
+    /// from it.
     pub sites: Vec<SiteHosts>,
 }
 
@@ -140,24 +143,21 @@ impl Grid5000Builder {
                         "bordeaux needs at least one host"
                     );
                     let site = "bordeaux";
-                    let cisco = b.add_switch("bordeaux/cisco", site);
-                    let dell = b.add_switch("bordeaux/dell", site);
+                    let cisco = b.add_switch("bordeaux/cisco");
+                    let dell = b.add_switch("bordeaux/dell");
                     let mut clusters = Vec::new();
 
-                    let mk_hosts = |b: &mut TopologyBuilder,
-                                    cluster: &str,
-                                    n: usize,
-                                    sw: NodeId| {
-                        let hs: Vec<NodeId> = (0..n)
-                            .map(|i| {
-                                let h =
-                                    b.add_host(format!("{site}/{cluster}-{i:02}"), site, cluster);
-                                b.link(h, sw, access);
-                                h
-                            })
-                            .collect();
-                        (cluster.to_string(), hs)
-                    };
+                    let mk_hosts =
+                        |b: &mut TopologyBuilder, cluster: &str, n: usize, sw: NodeId| {
+                            let hs: Vec<NodeId> = (0..n)
+                                .map(|i| {
+                                    let h = b.add_host(format!("{site}/{cluster}-{i:02}"));
+                                    b.link(h, sw, access);
+                                    h
+                                })
+                                .collect();
+                            (cluster.to_string(), hs)
+                        };
 
                     // Bordeplage hangs off the Cisco switch.
                     clusters.push(mk_hosts(&mut b, "bordeplage", *bordeplage, cisco));
@@ -166,7 +166,7 @@ impl Grid5000Builder {
                     // Borderline has its own switch, fast-linked to Dell —
                     // this is why Bordereau+Borderline form ONE logical
                     // cluster in the paper's ground truth.
-                    let borderline_sw = b.add_switch("bordeaux/borderline-sw", site);
+                    let borderline_sw = b.add_switch("bordeaux/borderline-sw");
                     b.link(borderline_sw, dell, uplink);
                     clusters.push(mk_hosts(&mut b, "borderline", *borderline, borderline_sw));
 
@@ -178,7 +178,7 @@ impl Grid5000Builder {
                         // The site's external egress hangs off the Dell
                         // switch: Bordeplage's WAN traffic crosses the 1 GbE
                         // trunk on top of its Bordeplage↔Dell-side traffic.
-                        let r = b.add_router("bordeaux/router", Some(site.into()));
+                        let r = b.add_router("bordeaux/router");
                         b.link(r, dell, uplink);
                         routers.push((site.to_string(), r));
                     }
@@ -187,16 +187,16 @@ impl Grid5000Builder {
                 }
                 SitePlan::Flat { name, hosts } => {
                     assert!(*hosts > 0, "site {name} needs at least one host");
-                    let sw = b.add_switch(format!("{name}/switch"), name.clone());
+                    let sw = b.add_switch(format!("{name}/switch"));
                     let hs: Vec<NodeId> = (0..*hosts)
                         .map(|i| {
-                            let h = b.add_host(format!("{name}/node-{i:02}"), name.clone(), "main");
+                            let h = b.add_host(format!("{name}/node-{i:02}"));
                             b.link(h, sw, access);
                             h
                         })
                         .collect();
                     if multi_site {
-                        let r = b.add_router(format!("{name}/router"), Some(name.clone()));
+                        let r = b.add_router(format!("{name}/router"));
                         b.link(r, sw, uplink);
                         routers.push((name.clone(), r));
                     }
@@ -211,7 +211,7 @@ impl Grid5000Builder {
         if multi_site {
             // Renater star: every site router attaches to a core node. WAN
             // links carry a per-flow cap modelling window-limited TCP.
-            let core = b.add_router("renater/core", None);
+            let core = b.add_router("renater/core");
             for (site, r) in &routers {
                 let spec = if site == "lyon" {
                     // Lyon hosts the core: shorter, wider attachment.

@@ -25,9 +25,9 @@
 //! use std::sync::Arc;
 //!
 //! let mut b = TopologyBuilder::new();
-//! let h0 = b.add_host("h0", "site", "cluster");
-//! let h1 = b.add_host("h1", "site", "cluster");
-//! let sw = b.add_switch("sw", "site");
+//! let h0 = b.add_host("h0");
+//! let h1 = b.add_host("h1");
+//! let sw = b.add_switch("sw");
 //! b.link(h0, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
 //! b.link(h1, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
 //! let topo = Arc::new(b.build().unwrap());

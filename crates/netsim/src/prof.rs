@@ -114,16 +114,6 @@ impl EngineProf {
         self.advance_ns += other.advance_ns;
         self.solver.merge(&other.solver);
     }
-
-    /// Wall time inside fairness re-solves, milliseconds.
-    pub fn solver_ms(&self) -> f64 {
-        self.solver_ns as f64 / 1e6
-    }
-
-    /// Wall time inside event advancement, milliseconds.
-    pub fn advance_ms(&self) -> f64 {
-        self.advance_ns as f64 / 1e6
-    }
 }
 
 impl core::fmt::Debug for EngineProf {
@@ -169,6 +159,5 @@ mod tests {
         assert_eq!(a.stale_dropped, 7);
         assert_eq!(a.solver_ns, 15);
         assert_eq!(a.solver.resolves, 5);
-        assert!((a.solver_ms() - 15e-6).abs() < 1e-12);
     }
 }

@@ -204,11 +204,11 @@ mod tests {
     fn line() -> (Arc<Topology>, Vec<NodeId>) {
         // h0 - sw0 - sw1 - h1   plus   h2 - sw0
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
-        let h2 = b.add_host("h2", "s", "c");
-        let sw0 = b.add_switch("sw0", "s");
-        let sw1 = b.add_switch("sw1", "s");
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
+        let h2 = b.add_host("h2");
+        let sw0 = b.add_switch("sw0");
+        let sw1 = b.add_switch("sw1");
         let bw = LinkSpec::lan(Bandwidth::from_mbps(1000.0));
         b.link(h0, sw0, bw);
         b.link(sw0, sw1, bw);
@@ -265,9 +265,9 @@ mod tests {
     #[test]
     fn flow_cap_is_min_over_route() {
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
-        let r = b.add_router("r", None);
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
+        let r = b.add_router("r");
         b.link(h0, r, LinkSpec::wan(Bandwidth::from_gbps(10.0), 1e-3, Bandwidth::from_mbps(787.0)));
         b.link(r, h1, LinkSpec::wan(Bandwidth::from_gbps(10.0), 1e-3, Bandwidth::from_mbps(500.0)));
         let t = Arc::new(b.build().unwrap());
@@ -278,8 +278,8 @@ mod tests {
         // A LAN route has no cap.
         let (t2, hs) = {
             let mut b = TopologyBuilder::new();
-            let a = b.add_host("a", "s", "c");
-            let c = b.add_host("c", "s", "c");
+            let a = b.add_host("a");
+            let c = b.add_host("c");
             b.link(a, c, LinkSpec::lan(Bandwidth::from_mbps(100.0)));
             (Arc::new(b.build().unwrap()), vec![a, c])
         };
@@ -291,11 +291,11 @@ mod tests {
     fn bfs_prefers_fewer_hops_deterministically() {
         // Diamond: h0 - a - h1 and h0 - b - c - h1; must pick the 2-hop path.
         let mut bld = TopologyBuilder::new();
-        let h0 = bld.add_host("h0", "s", "c");
-        let h1 = bld.add_host("h1", "s", "c");
-        let a = bld.add_switch("a", "s");
-        let b = bld.add_switch("b", "s");
-        let c = bld.add_switch("c", "s");
+        let h0 = bld.add_host("h0");
+        let h1 = bld.add_host("h1");
+        let a = bld.add_switch("a");
+        let b = bld.add_switch("b");
+        let c = bld.add_switch("c");
         let bw = LinkSpec::lan(Bandwidth::from_mbps(100.0));
         bld.link(h0, b, bw);
         bld.link(b, c, bw);

@@ -83,24 +83,20 @@ impl FatTree {
         );
 
         let mut b = TopologyBuilder::new();
-        let core = b.add_switch("core/switch", "core");
+        let core = b.add_switch("core/switch");
         let mut sites = Vec::with_capacity(self.pods);
         for p in 0..self.pods {
             let site = format!("pod-{p}");
-            let agg = b.add_switch(format!("{site}/agg"), site.clone());
+            let agg = b.add_switch(format!("{site}/agg"));
             b.link(agg, core, LinkSpec::lan(pod_up));
             let mut clusters = Vec::with_capacity(self.racks_per_pod);
             for r in 0..self.racks_per_pod {
                 let rack = format!("rack-{r}");
-                let edge = b.add_switch(format!("{site}/{rack}/edge"), site.clone());
+                let edge = b.add_switch(format!("{site}/{rack}/edge"));
                 b.link(edge, agg, LinkSpec::lan(rack_up));
                 let hosts: Vec<NodeId> = (0..self.hosts_per_rack)
                     .map(|h| {
-                        let id = b.add_host(
-                            format!("{site}/{rack}/host-{h:02}"),
-                            site.clone(),
-                            rack.clone(),
-                        );
+                        let id = b.add_host(format!("{site}/{rack}/host-{h:02}"));
                         b.link(id, edge, access);
                         id
                     })
@@ -152,10 +148,10 @@ impl StarOfStars {
             Bandwidth::from_mbps(self.hosts_per_arm as f64 * SYNTH_ACCESS_MBPS * self.uplink_ratio);
 
         let mut b = TopologyBuilder::new();
-        let hub_sw = b.add_switch("hub/switch", "hub");
+        let hub_sw = b.add_switch("hub/switch");
         let hub_hosts: Vec<NodeId> = (0..self.hub_hosts)
             .map(|h| {
-                let id = b.add_host(format!("hub/host-{h:02}"), "hub", "main");
+                let id = b.add_host(format!("hub/host-{h:02}"));
                 b.link(id, hub_sw, access);
                 id
             })
@@ -166,11 +162,11 @@ impl StarOfStars {
         }];
         for a in 0..self.arms {
             let site = format!("arm-{a}");
-            let sw = b.add_switch(format!("{site}/switch"), site.clone());
+            let sw = b.add_switch(format!("{site}/switch"));
             b.link(sw, hub_sw, LinkSpec::lan(uplink));
             let hosts: Vec<NodeId> = (0..self.hosts_per_arm)
                 .map(|h| {
-                    let id = b.add_host(format!("{site}/host-{h:02}"), site.clone(), "main");
+                    let id = b.add_host(format!("{site}/host-{h:02}"));
                     b.link(id, sw, access);
                     id
                 })
@@ -263,22 +259,21 @@ impl HeteroWan {
     pub fn build(&self) -> Grid5000 {
         assert!(!self.sites.is_empty(), "at least one site required");
         let mut b = TopologyBuilder::new();
-        let core = b.add_router("wan/core", None);
+        let core = b.add_router("wan/core");
         let mut sites = Vec::with_capacity(self.sites.len());
         for spec in &self.sites {
             assert!(spec.hosts > 0, "site {} needs at least one host", spec.name);
             assert!(spec.access_mbps > 0.0 && spec.wan_mbps > 0.0);
             let access = LinkSpec::lan(Bandwidth::from_mbps(spec.access_mbps));
-            let sw = b.add_switch(format!("{}/switch", spec.name), spec.name.clone());
+            let sw = b.add_switch(format!("{}/switch", spec.name));
             let hosts: Vec<NodeId> = (0..spec.hosts)
                 .map(|h| {
-                    let id =
-                        b.add_host(format!("{}/host-{h:02}", spec.name), spec.name.clone(), "main");
+                    let id = b.add_host(format!("{}/host-{h:02}", spec.name));
                     b.link(id, sw, access);
                     id
                 })
                 .collect();
-            let r = b.add_router(format!("{}/router", spec.name), Some(spec.name.clone()));
+            let r = b.add_router(format!("{}/router", spec.name));
             // Site switch ↔ router is local and non-blocking.
             b.link(sw, r, LinkSpec::lan(Bandwidth::from_mbps(10.0 * spec.access_mbps)));
             b.link(

@@ -86,17 +86,15 @@ pub enum NodeKind {
     Router,
 }
 
-/// A network node.
+/// A network node: a name and a kind. Which site and physical cluster a
+/// host belongs to is recorded once, in
+/// [`Grid5000::sites`](crate::grid5000::Grid5000::sites).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Node {
     /// Unique human-readable name, e.g. `"bordeaux/bordeplage-07"`.
     pub name: String,
     /// Host, switch, or router.
     pub kind: NodeKind,
-    /// Grid site this node belongs to (e.g. `"bordeaux"`), if any.
-    pub site: Option<String>,
-    /// Physical compute cluster within the site (e.g. `"bordeplage"`), if any.
-    pub cluster: Option<String>,
 }
 
 /// A full-duplex link between two nodes.
@@ -252,23 +250,6 @@ impl Topology {
         self.nodes.iter().position(|n| n.name == name).map(|i| NodeId(i as u32))
     }
 
-    /// Hosts belonging to the given site name.
-    pub fn hosts_in_site(&self, site: &str) -> Vec<NodeId> {
-        self.hosts.iter().copied().filter(|&h| self.node(h).site.as_deref() == Some(site)).collect()
-    }
-
-    /// Hosts belonging to the given (site, cluster) pair.
-    pub fn hosts_in_cluster(&self, site: &str, cluster: &str) -> Vec<NodeId> {
-        self.hosts
-            .iter()
-            .copied()
-            .filter(|&h| {
-                let n = self.node(h);
-                n.site.as_deref() == Some(site) && n.cluster.as_deref() == Some(cluster)
-            })
-            .collect()
-    }
-
     /// True if every node can reach every other node.
     pub fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
@@ -329,43 +310,30 @@ impl TopologyBuilder {
         Self::default()
     }
 
-    fn add_node(&mut self, node: Node) -> NodeId {
-        if !self.names.insert(node.name.clone()) {
-            self.error.get_or_insert(TopologyError::DuplicateName(node.name.clone()));
+    fn add_node(&mut self, name: String, kind: NodeKind) -> NodeId {
+        if !self.names.insert(name.clone()) {
+            self.error.get_or_insert(TopologyError::DuplicateName(name.clone()));
         }
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
+        self.nodes.push(Node { name, kind });
         id
     }
 
-    /// Adds a host that can source and sink traffic.
-    pub fn add_host(
-        &mut self,
-        name: impl Into<String>,
-        site: impl Into<String>,
-        cluster: impl Into<String>,
-    ) -> NodeId {
-        self.add_node(Node {
-            name: name.into(),
-            kind: NodeKind::Host,
-            site: Some(site.into()),
-            cluster: Some(cluster.into()),
-        })
+    /// Adds a host that can source and sink traffic. Its site and physical
+    /// cluster are the caller's to record (the grid builders list them in
+    /// [`Grid5000::sites`](crate::grid5000::Grid5000::sites)).
+    pub fn add_host(&mut self, name: impl Into<String>) -> NodeId {
+        self.add_node(name.into(), NodeKind::Host)
     }
 
-    /// Adds an intra-site switch.
-    pub fn add_switch(&mut self, name: impl Into<String>, site: impl Into<String>) -> NodeId {
-        self.add_node(Node {
-            name: name.into(),
-            kind: NodeKind::Switch,
-            site: Some(site.into()),
-            cluster: None,
-        })
+    /// Adds a switch.
+    pub fn add_switch(&mut self, name: impl Into<String>) -> NodeId {
+        self.add_node(name.into(), NodeKind::Switch)
     }
 
     /// Adds a router (site border or WAN core).
-    pub fn add_router(&mut self, name: impl Into<String>, site: Option<String>) -> NodeId {
-        self.add_node(Node { name: name.into(), kind: NodeKind::Router, site, cluster: None })
+    pub fn add_router(&mut self, name: impl Into<String>) -> NodeId {
+        self.add_node(name.into(), NodeKind::Router)
     }
 
     /// Connects two nodes with a full-duplex link.
@@ -417,9 +385,9 @@ mod tests {
 
     fn tiny() -> Topology {
         let mut b = TopologyBuilder::new();
-        let h1 = b.add_host("h1", "s", "c");
-        let h2 = b.add_host("h2", "s", "c");
-        let sw = b.add_switch("sw", "s");
+        let h1 = b.add_host("h1");
+        let h2 = b.add_host("h2");
+        let sw = b.add_switch("sw");
         b.link(h1, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
         b.link(h2, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
         b.build().unwrap()
@@ -450,12 +418,12 @@ mod tests {
         // Then two stars h1 - sw - h3 and h2 - sw2 - h4: h1 and h2 are
         // leaves, and the panic names them, not their attachments.
         let mut b = TopologyBuilder::new();
-        let h1 = b.add_host("h1", "s", "c");
-        let h2 = b.add_host("h2", "s", "c");
-        let sw = b.add_switch("sw", "s");
-        let sw2 = b.add_switch("sw2", "s");
-        let h3 = b.add_host("h3", "s", "c");
-        let h4 = b.add_host("h4", "s", "c");
+        let h1 = b.add_host("h1");
+        let h2 = b.add_host("h2");
+        let sw = b.add_switch("sw");
+        let sw2 = b.add_switch("sw2");
+        let h3 = b.add_host("h3");
+        let h4 = b.add_host("h4");
         let bw = LinkSpec::lan(Bandwidth::from_mbps(890.0));
         b.link(h1, sw, bw);
         b.link(h3, sw, bw);
@@ -516,8 +484,8 @@ mod tests {
     #[test]
     fn duplicate_names_rejected() {
         let mut b = TopologyBuilder::new();
-        let h1 = b.add_host("x", "s", "c");
-        let h2 = b.add_host("x", "s", "c");
+        let h1 = b.add_host("x");
+        let h2 = b.add_host("x");
         b.link(h1, h2, LinkSpec::lan(Bandwidth::from_mbps(1.0)));
         assert_eq!(b.build().unwrap_err(), TopologyError::DuplicateName("x".into()));
     }
@@ -525,7 +493,7 @@ mod tests {
     #[test]
     fn self_loop_rejected() {
         let mut b = TopologyBuilder::new();
-        let h1 = b.add_host("x", "s", "c");
+        let h1 = b.add_host("x");
         b.link(h1, h1, LinkSpec::lan(Bandwidth::from_mbps(1.0)));
         assert!(matches!(b.build().unwrap_err(), TopologyError::SelfLoop(_)));
     }
@@ -533,25 +501,23 @@ mod tests {
     #[test]
     fn disconnected_rejected() {
         let mut b = TopologyBuilder::new();
-        b.add_host("x", "s", "c");
-        b.add_host("y", "s", "c");
+        b.add_host("x");
+        b.add_host("y");
         assert_eq!(b.build().unwrap_err(), TopologyError::Disconnected);
     }
 
     #[test]
     fn site_and_cluster_lookup() {
         let mut b = TopologyBuilder::new();
-        let h1 = b.add_host("a1", "alpha", "c1");
-        let h2 = b.add_host("a2", "alpha", "c2");
-        let h3 = b.add_host("b1", "beta", "c1");
-        let sw = b.add_switch("sw", "alpha");
+        let h1 = b.add_host("a1");
+        let h2 = b.add_host("a2");
+        let h3 = b.add_host("b1");
+        let sw = b.add_switch("sw");
         for h in [h1, h2, h3] {
             b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
         }
         let t = b.build().unwrap();
-        assert_eq!(t.hosts_in_site("alpha"), vec![h1, h2]);
-        assert_eq!(t.hosts_in_site("beta"), vec![h3]);
-        assert_eq!(t.hosts_in_cluster("alpha", "c2"), vec![h2]);
+        assert_eq!(t.find_node("a2"), Some(h2));
         assert_eq!(t.find_node("b1"), Some(h3));
         assert_eq!(t.find_node("nope"), None);
     }

@@ -64,16 +64,6 @@ impl Bandwidth {
         self.0 * 8.0 / 1e6
     }
 
-    /// Time to move `bytes` at this rate; `None` when the rate is zero.
-    #[inline]
-    pub fn transfer_time(self, bytes: Bytes) -> Option<SimTime> {
-        if self.0 > 0.0 {
-            Some(bytes / self.0)
-        } else {
-            None
-        }
-    }
-
     /// Smaller of two bandwidths.
     #[inline]
     pub fn min(self, other: Bandwidth) -> Bandwidth {
@@ -132,13 +122,6 @@ mod tests {
             Bandwidth::from_gbps(10.0).bytes_per_sec(),
             Bandwidth::from_mbps(10_000.0).bytes_per_sec()
         );
-    }
-
-    #[test]
-    fn transfer_time_basic() {
-        let b = Bandwidth::from_bytes_per_sec(100.0);
-        assert_eq!(b.transfer_time(1000.0), Some(10.0));
-        assert_eq!(Bandwidth::ZERO.transfer_time(1.0), None);
     }
 
     #[test]

@@ -68,15 +68,16 @@ fn routing_holds_on_large_synthetic_topologies() {
 }
 
 /// Builds a random two-tier topology: `clusters` stars joined by a backbone
-/// switch, with the given per-tier capacities (Mb/s).
+/// switch, with the given per-tier capacities (Mb/s). Hosts are added star
+/// by star, so `hosts().chunks(hosts_per)` lists each star's hosts.
 fn two_tier(clusters: usize, hosts_per: usize, access_mbps: f64, trunk_mbps: f64) -> Arc<Topology> {
     let mut b = TopologyBuilder::new();
-    let backbone = b.add_switch("backbone", "s");
+    let backbone = b.add_switch("backbone");
     for c in 0..clusters {
-        let sw = b.add_switch(format!("sw{c}"), "s");
+        let sw = b.add_switch(format!("sw{c}"));
         b.link(sw, backbone, LinkSpec::lan(Bandwidth::from_mbps(trunk_mbps)));
         for h in 0..hosts_per {
-            let host = b.add_host(format!("h{c}-{h}"), "s", format!("c{c}"));
+            let host = b.add_host(format!("h{c}-{h}"));
             b.link(host, sw, LinkSpec::lan(Bandwidth::from_mbps(access_mbps)));
         }
     }
@@ -128,9 +129,9 @@ fn random_topology(nodes: usize, extra: usize, seed: u64, shape: Shape) -> Arc<T
     let ids: Vec<NodeId> = (0..nodes)
         .map(|i| {
             if next() % 3 == 0 {
-                b.add_switch(format!("n{i}"), "s")
+                b.add_switch(format!("n{i}"))
             } else {
-                b.add_host(format!("n{i}"), "s", "c")
+                b.add_host(format!("n{i}"))
             }
         })
         .collect();
@@ -149,12 +150,12 @@ fn random_topology(nodes: usize, extra: usize, seed: u64, shape: Shape) -> Arc<T
     match shape {
         Shape::Plain | Shape::TwoNodes => {}
         Shape::TwoLinkHost => {
-            let h = b.add_host("two-link", "s", "c");
+            let h = b.add_host("two-link");
             b.link(h, ids[next() % nodes], bw);
             b.link(h, ids[next() % nodes], bw);
         }
         Shape::OneLinkSwitch => {
-            let sw = b.add_switch("one-link", "s");
+            let sw = b.add_switch("one-link");
             b.link(sw, ids[next() % nodes], bw);
         }
         Shape::ParallelLinks => {
@@ -313,8 +314,8 @@ proptest! {
         mbps in 50f64..900.0,
     ) {
         let mut b = TopologyBuilder::new();
-        let h0 = b.add_host("h0", "s", "c");
-        let h1 = b.add_host("h1", "s", "c");
+        let h0 = b.add_host("h0");
+        let h1 = b.add_host("h1");
         b.link(h0, h1, LinkSpec { capacity: Bandwidth::from_mbps(mbps), per_flow_cap: None, latency: 0.0 });
         let topo = Arc::new(b.build().unwrap());
         let mut net = SimNet::new(topo);
@@ -399,8 +400,7 @@ proptest! {
     ) {
         let topo = two_tier(clusters, hosts_per, 890.0, 1000.0);
         let rt = RouteTable::new(topo.clone());
-        let hosts: Vec<Vec<NodeId>> =
-            (0..clusters).map(|c| topo.hosts_in_cluster("s", &format!("c{c}"))).collect();
+        let hosts: Vec<&[NodeId]> = topo.hosts().chunks(hosts_per).collect();
         let caps = topo.channel_capacities();
 
         let mut all = IncrementalMaxMin::new(caps.clone());

@@ -172,23 +172,6 @@ impl Bitfield {
         debug_assert_eq!(self.len, other.len);
         self.words().iter().zip(other.words()).any(|(mine, theirs)| theirs & !mine != 0)
     }
-
-    /// Iterates over indices of set bits.
-    pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words().iter().enumerate().flat_map(move |(wi, &w)| {
-            let mut w = w;
-            let base = (wi * 64) as u32;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(base + b)
-                }
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -251,21 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn iter_ones_matches_gets() {
-        let mut b = Bitfield::empty(200);
-        let idxs = [0u32, 1, 63, 64, 65, 127, 128, 199];
-        for &i in &idxs {
-            b.set(i);
-        }
-        let got: Vec<u32> = b.iter_ones().collect();
-        assert_eq!(got, idxs);
-    }
-
-    #[test]
     fn zero_length() {
         let b = Bitfield::empty(0);
         assert!(b.is_full(), "vacuously full");
-        assert_eq!(b.iter_ones().count(), 0);
         let f = Bitfield::full(0);
         assert_eq!(f.num_words(), 0);
     }

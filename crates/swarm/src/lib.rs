@@ -20,8 +20,8 @@
 //!
 //! // Four hosts on one switch.
 //! let mut b = TopologyBuilder::new();
-//! let hosts: Vec<NodeId> = (0..4).map(|i| b.add_host(format!("h{i}"), "s", "c")).collect();
-//! let sw = b.add_switch("sw", "s");
+//! let hosts: Vec<NodeId> = (0..4).map(|i| b.add_host(format!("h{i}"))).collect();
+//! let sw = b.add_switch("sw");
 //! for &h in &hosts { b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0))); }
 //! let routes = Arc::new(RouteTable::new(Arc::new(b.build().unwrap())));
 //!

@@ -52,11 +52,6 @@ impl RateEstimator {
         let effective_window = elapsed_in_current + prev_weight * half;
         (self.current + self.previous * prev_weight) / effective_window.max(1e-9)
     }
-
-    /// Total bytes currently inside the window buckets (diagnostics).
-    pub fn windowed_bytes(&self) -> f64 {
-        self.current + self.previous
-    }
 }
 
 #[cfg(test)]
@@ -104,13 +99,5 @@ mod tests {
             let v = r.rate(t);
             assert!(v.is_finite() && v >= 0.0, "rate at {t} = {v}");
         }
-    }
-
-    #[test]
-    fn windowed_bytes_tracks_buckets() {
-        let mut r = RateEstimator::new(10.0);
-        r.add(100.0, 0.1);
-        r.add(100.0, 0.2);
-        assert_eq!(r.windowed_bytes(), 200.0);
     }
 }

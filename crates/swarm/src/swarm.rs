@@ -1477,8 +1477,8 @@ mod tests {
 
     fn star_hosts(n: usize, mbps: f64) -> (Arc<RouteTable>, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
-        let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"), "s", "c")).collect();
-        let sw = b.add_switch("sw", "s");
+        let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"))).collect();
+        let sw = b.add_switch("sw");
         for &h in &hosts {
             b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(mbps)));
         }
@@ -1626,13 +1626,13 @@ mod tests {
         // Two switches joined by one 200 Mb/s link; each side has three
         // swarm hosts and two bystanders outside the swarm.
         let mut b = TopologyBuilder::new();
-        let left = b.add_switch("left", "s");
-        let right = b.add_switch("right", "s");
+        let left = b.add_switch("left");
+        let right = b.add_switch("right");
         b.link(left, right, LinkSpec::lan(Bandwidth::from_mbps(200.0)));
         let mut side = |sw: NodeId, tag: &str| -> Vec<NodeId> {
             (0..5)
                 .map(|i| {
-                    let h = b.add_host(format!("{tag}{i}"), "s", tag);
+                    let h = b.add_host(format!("{tag}{i}"));
                     b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
                     h
                 })

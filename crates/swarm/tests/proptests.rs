@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 fn star(n: usize, mbps: f64) -> (Arc<RouteTable>, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
-    let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"), "s", "c")).collect();
-    let sw = b.add_switch("sw", "s");
+    let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"))).collect();
+    let sw = b.add_switch("sw");
     for &h in &hosts {
         b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(mbps)));
     }

@@ -56,8 +56,8 @@ fn makespan_roughly_constant_in_node_count() {
     let mut makespans = Vec::new();
     for n in [8usize, 16, 32] {
         let mut b = TopologyBuilder::new();
-        let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"), "s", "c")).collect();
-        let sw = b.add_switch("sw", "s");
+        let hosts: Vec<NodeId> = (0..n).map(|i| b.add_host(format!("h{i}"))).collect();
+        let sw = b.add_switch("sw");
         for &h in &hosts {
             b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
         }
@@ -77,8 +77,8 @@ fn makespan_roughly_constant_in_node_count() {
 #[test]
 fn single_run_edge_metric_is_noisy() {
     let mut b = TopologyBuilder::new();
-    let hosts: Vec<NodeId> = (0..48).map(|i| b.add_host(format!("h{i}"), "s", "c")).collect();
-    let sw = b.add_switch("sw", "s");
+    let hosts: Vec<NodeId> = (0..48).map(|i| b.add_host(format!("h{i}"))).collect();
+    let sw = b.add_switch("sw");
     for &h in &hosts {
         b.link(h, sw, LinkSpec::lan(Bandwidth::from_mbps(890.0)));
     }

@@ -35,24 +35,15 @@ fn main() {
     println!("wrote bgtl.dot and bgtl.svg");
 
     // The paper notes Lyon (the Renater hub) lands centrally in the layout.
-    let centroid = |site: &str| {
-        let pts: Vec<_> = scenario
-            .hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| scenario.grid.topology.node(h).site.as_deref() == Some(site))
-            .map(|(i, _)| positions[i])
-            .collect();
-        let n = pts.len() as f64;
-        Point2::new(
-            pts.iter().map(|p| p.x).sum::<f64>() / n,
-            pts.iter().map(|p| p.y).sum::<f64>() / n,
-        )
-    };
+    // `scenario.hosts` lists the grid's sites in order, so each site's
+    // positions are the next run of its host count.
     let all = centroid_all(&positions);
-    for site in ["bordeaux", "grenoble", "toulouse", "lyon"] {
-        let c = centroid(site);
-        println!("site {site:9} centroid distance from layout centre: {:.1}", c.dist(all));
+    let mut rest = &positions[..];
+    for site in &scenario.grid.sites {
+        let (pts, tail) = rest.split_at(site.all().len());
+        rest = tail;
+        let c = centroid_all(pts);
+        println!("site {:9} centroid distance from layout centre: {:.1}", site.site, c.dist(all));
     }
 }
 

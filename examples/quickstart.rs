@@ -17,17 +17,17 @@ fn main() {
     //       only binds when many pairs talk at once.
     let mut b = TopologyBuilder::new();
     let mbps = Bandwidth::from_mbps(890.0);
-    let left_sw = b.add_switch("left-sw", "demo");
-    let right_sw = b.add_switch("right-sw", "demo");
+    let left_sw = b.add_switch("left-sw");
+    let right_sw = b.add_switch("right-sw");
     b.link(left_sw, right_sw, LinkSpec::lan(mbps)); // the hidden bottleneck
     let mut hosts = Vec::new();
     for i in 0..8 {
-        let h = b.add_host(format!("left-{i}"), "demo", "left");
+        let h = b.add_host(format!("left-{i}"));
         b.link(h, left_sw, LinkSpec::lan(mbps));
         hosts.push(h);
     }
     for i in 0..8 {
-        let h = b.add_host(format!("right-{i}"), "demo", "right");
+        let h = b.add_host(format!("right-{i}"));
         b.link(h, right_sw, LinkSpec::lan(mbps));
         hosts.push(h);
     }

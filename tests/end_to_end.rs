@@ -57,13 +57,13 @@ fn dataset_bt_separates_bordeaux_from_toulouse() {
     let p = &report.final_partition;
     // No found cluster may contain both a Bordeaux and a Toulouse node.
     let scenario = Dataset::BT.build();
+    let site_of = |v: u32| {
+        let h = scenario.hosts[v as usize];
+        let site = scenario.grid.sites.iter().find(|s| s.all().contains(&h)).unwrap();
+        site.site.as_str()
+    };
     for members in p.clusters() {
-        let sites: std::collections::HashSet<&str> = members
-            .iter()
-            .map(|&v| {
-                scenario.grid.topology.node(scenario.hosts[v as usize]).site.as_deref().unwrap()
-            })
-            .collect();
+        let sites: std::collections::HashSet<&str> = members.iter().map(|&v| site_of(v)).collect();
         assert_eq!(sites.len(), 1, "cluster mixes sites: {sites:?}");
     }
     assert!(report.last().onmi > 0.6, "oNMI {}", report.last().onmi);

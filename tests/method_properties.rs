@@ -13,7 +13,7 @@ fn tomography_beats_probing_on_cost_and_pairwise_on_capability() {
     let grid = Grid5000::builder().bordeaux(6, 0, 6).build();
     let routes = Arc::new(RouteTable::new(grid.topology.clone()));
     let hosts = grid.all_hosts();
-    let truth = logical_clusters(&grid, &hosts);
+    let truth = logical_clusters(&grid);
 
     // BitTorrent tomography: 4 iterations of a 2 000-fragment file.
     let cfg = SwarmConfig::small(2_000);
